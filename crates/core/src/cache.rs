@@ -242,24 +242,67 @@ pub(crate) fn counts_vec_for(
     recorder: &Recorder,
     compute: impl FnOnce() -> Vec<PerfCounts>,
 ) -> Vec<PerfCounts> {
-    {
-        let st = lock();
-        if let Some(hit) = st.memo.get(&key).cloned() {
-            let preloaded = st.from_store.contains(&key);
-            drop(st);
-            cache_metrics().hits.inc();
-            if preloaded {
-                cache_metrics().store_hits.inc();
-                emit_lookup(recorder, "store_hit", &key);
-            } else {
-                emit_lookup(recorder, "cache_hit", &key);
-            }
-            return hit;
+    match lookup(&key, recorder) {
+        Some(hit) => hit,
+        None => fill(key, recorder, compute()),
+    }
+}
+
+/// Solo counter blocks for several keys that one computation fills
+/// together. Each key is looked up on its own; `compute` receives the
+/// indices of the keys that missed (never called when none did) and
+/// returns their blocks in that order. Each missed block then goes
+/// through the same insertion and write-through as a single miss: one
+/// miss is one counted simulation and, with a store attached, one
+/// record.
+pub(crate) fn counts_group_for(
+    keys: &[CacheKey],
+    recorder: &Recorder,
+    compute: impl FnOnce(&[usize]) -> Vec<PerfCounts>,
+) -> Vec<PerfCounts> {
+    let mut out: Vec<Option<PerfCounts>> = keys
+        .iter()
+        .map(|key| lookup(key, recorder).map(|hit| hit[0]))
+        .collect();
+    let missing: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
+    if !missing.is_empty() {
+        let computed = compute(&missing);
+        assert_eq!(computed.len(), missing.len(), "one block per missed key");
+        for (&i, counts) in missing.iter().zip(computed) {
+            out[i] = Some(fill(keys[i], recorder, vec![counts])[0]);
         }
     }
+    out.into_iter()
+        .map(|c| c.expect("every key hit or computed"))
+        .collect()
+}
+
+/// The memoized blocks for `key`, counted and reported as a hit; on a
+/// miss, counts the simulation the caller is about to run and reports
+/// the miss.
+fn lookup(key: &CacheKey, recorder: &Recorder) -> Option<Vec<PerfCounts>> {
+    let st = lock();
+    if let Some(hit) = st.memo.get(key).cloned() {
+        let preloaded = st.from_store.contains(key);
+        drop(st);
+        cache_metrics().hits.inc();
+        if preloaded {
+            cache_metrics().store_hits.inc();
+            emit_lookup(recorder, "store_hit", key);
+        } else {
+            emit_lookup(recorder, "cache_hit", key);
+        }
+        return Some(hit);
+    }
+    drop(st);
     note_simulation();
-    emit_lookup(recorder, "cache_miss", &key);
-    let counts = compute();
+    emit_lookup(recorder, "cache_miss", key);
+    None
+}
+
+/// Memoize the freshly simulated blocks of a missed `key` and write
+/// them through to an attached store.
+fn fill(key: CacheKey, recorder: &Recorder, counts: Vec<PerfCounts>) -> Vec<PerfCounts> {
     let mut st = lock();
     if st.memo.contains_key(&key) {
         // Two threads raced on the same cold key; the winner already

@@ -192,6 +192,25 @@ impl Characterizer {
         self.counts(id)
     }
 
+    /// Raw counter blocks for one entry on each machine in `cfgs` (this
+    /// harness's window and seed), in order: each block equals
+    /// `self.clone().with_config(cfg).raw_counts(id)` bit for bit. Every
+    /// cell is looked up in the memo on its own; the cells that miss
+    /// are simulated together on one synthesized trace
+    /// ([`dc_cpu::simulate_configs`]) and memoized one by one.
+    pub(crate) fn raw_counts_across(&self, id: BenchmarkId, cfgs: &[CpuConfig]) -> Vec<PerfCounts> {
+        let seed = self.entry_seed(id);
+        let keys: Vec<CacheKey> = cfgs
+            .iter()
+            .map(|cfg| CacheKey::new(id, cfg, &self.opts, seed))
+            .collect();
+        cache::counts_group_for(&keys, &self.recorder, |missing| {
+            let cfgs: Vec<CpuConfig> = missing.iter().map(|&i| cfgs[i].clone()).collect();
+            let trace = SyntheticTrace::new(&profile(id), seed);
+            dc_cpu::simulate_configs(trace, &cfgs, &self.opts)
+        })
+    }
+
     /// Trace seed for co-runner `k` of an entry: co-runner 0 reuses the
     /// solo seed (so a width-1 co-run *is* the solo measurement), the
     /// rest decorrelate via a splitmix-style odd-constant mix.

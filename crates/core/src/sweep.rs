@@ -13,17 +13,27 @@
 //!   RS entries, predictor history bits, prefetch on/off) plus the grid
 //!   of values to visit, each validated through the fallible
 //!   `CpuConfig::try_with_*` builders at expansion time;
-//! * [`run`] expands `(workload × axis-point)` into a flat job grid and
-//!   fans it out across [`crate::pool`] workers. Every job is a pure
-//!   function of `(entry, config, window, seed)`: the per-entry trace
-//!   seed depends only on the master seed and the entry id — **not** on
-//!   the swept configuration — so every point of a curve executes the
-//!   identical instruction stream, and results are bit-identical to the
-//!   sequential reference order at any `DCBENCH_JOBS` width;
-//! * every point goes through the memoizing counter cache
-//!   ([`crate::cache`], keyed on `CpuConfig::stable_hash`), so the
-//!   baseline point shared by several axes simulates once, and
-//!   regenerating the exhibit from a warm cache costs lookups only;
+//! * [`run`] expands the grid into curves — one workload along one
+//!   axis — and fans out **one job per curve** across [`crate::pool`]
+//!   workers. The per-entry trace seed depends only on the master seed
+//!   and the entry id — **not** on the swept configuration — so every
+//!   point of a curve executes the identical instruction stream, and a
+//!   job synthesizes that stream once for all its points
+//!   ([`dc_cpu::simulate_configs`]): one core per point reads a shared
+//!   window that holds only the µops between the slowest and the
+//!   fastest core, at most one chunk plus one fast-forward burst
+//!   (~225 k µops of 32 bytes, ~7 MB). Results are bit-identical to
+//!   per-cell runs and to the sequential reference order at any
+//!   `DCBENCH_JOBS` width;
+//! * every cell goes through the memoizing counter cache
+//!   ([`crate::cache`], keyed on `CpuConfig::stable_hash`): a job looks
+//!   each of its cells up and simulates only the missing ones, and each
+//!   miss is one counted simulation and one store record. The distinct
+//!   `(workload, config)` cells are deduplicated before the fan-out —
+//!   the base machine sits on every default axis, and the first curve
+//!   containing a cell owns it — so the simulation count is the number
+//!   of distinct cells at any worker count, and regenerating the
+//!   exhibit from a warm cache costs lookups only;
 //! * with a recorder attached to the harness, one `sweep_point` event
 //!   per grid cell plus one `sweep_axis` summary per axis are emitted
 //!   **after** the parallel phase, on the caller thread, in fixed
@@ -36,6 +46,7 @@ use crate::registry::BenchmarkId;
 use dc_cpu::{ConfigError, CpuConfig, PerfCounts};
 use dc_obs::{Recorder, Value};
 use dc_perfmon::Metrics;
+use std::collections::{HashMap, HashSet};
 
 /// Which machine knob a sweep axis varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -225,12 +236,14 @@ pub struct AxisSweep {
 /// Sweep `ids` along every axis in `axes` against `bench`'s machine,
 /// window and seed.
 ///
-/// The whole `(workload × point)` grid across all axes is flattened
-/// into one job list and fanned out over [`crate::pool::jobs`] workers;
-/// each job reads or fills the process-wide counter cache under its
-/// config's `stable_hash` key. Results are reassembled in `(axis,
-/// point, workload)` order, so output is bit-identical to the
-/// sequential reference at any worker count.
+/// Each distinct `(workload, config)` cell belongs to the first curve
+/// (axis-major, then workload) that contains it; each curve with cells
+/// of its own is one job over [`crate::pool::jobs`] workers. A job reads
+/// its cells from the process-wide counter cache under each config's
+/// `stable_hash` key and simulates the missing ones together on one
+/// synthesized trace. Results are reassembled in `(axis, point,
+/// workload)` order, so output is bit-identical to per-cell runs and to
+/// the sequential reference at any worker count.
 ///
 /// With a recorder attached to `bench`, `sweep_point` / `sweep_axis`
 /// events are emitted after the parallel phase in that same fixed
@@ -250,25 +263,35 @@ pub fn run(
         .map(|axis| axis.configs(bench.config()))
         .collect::<Result<_, _>>()?;
 
-    // Flat job list in (axis, point, workload) order. Workers measure
-    // through a recorder-less clone so no event reaches the sink from
-    // a nondeterministic thread interleaving.
+    // One job per curve (axis × workload), holding the curve's points
+    // whose (workload, config) cell no earlier curve holds: the base
+    // machine sits on every default axis, and only its first curve
+    // simulates it. Workers measure through a recorder-less clone so no
+    // event reaches the sink from a nondeterministic thread interleaving.
     let quiet = bench.clone().with_recorder(Recorder::disabled());
-    let jobs: Vec<(BenchmarkId, CpuConfig)> = expanded
-        .iter()
-        .flat_map(|configs| {
-            configs
+    let mut owned = HashSet::new();
+    let mut jobs: Vec<(BenchmarkId, Vec<CpuConfig>)> = Vec::new();
+    for configs in &expanded {
+        for &id in ids {
+            let cells: Vec<CpuConfig> = configs
                 .iter()
-                .flat_map(|cfg| ids.iter().map(move |&id| (id, cfg.clone())))
-        })
-        .collect();
-    let blocks = pool::parallel_map(jobs, move |_, (id, cfg)| {
-        quiet.clone().with_config(cfg).raw_counts(id)
+                .filter(|cfg| owned.insert((id, cfg.stable_hash())))
+                .cloned()
+                .collect();
+            if !cells.is_empty() {
+                jobs.push((id, cells));
+            }
+        }
+    }
+    let filled = pool::parallel_map(jobs, move |_, (id, cfgs)| {
+        let counts = quiet.raw_counts_across(id, &cfgs);
+        let cells = cfgs.iter().map(move |cfg| (id, cfg.stable_hash()));
+        cells.zip(counts).collect::<Vec<_>>()
     });
+    let blocks: HashMap<(BenchmarkId, u64), PerfCounts> = filled.into_iter().flatten().collect();
 
-    // Reassemble: blocks[axis][point][workload] in emission order.
+    // Reassemble in (axis, point, workload) order.
     let mut sweeps = Vec::with_capacity(axes.len());
-    let mut flat = blocks.into_iter();
     for (axis, configs) in axes.iter().zip(&expanded) {
         let mut curves: Vec<WorkloadCurve> = ids
             .iter()
@@ -278,9 +301,10 @@ pub fn run(
                 metrics: Vec::with_capacity(configs.len()),
             })
             .collect();
-        for _ in configs {
+        for cfg in configs {
+            let hash = cfg.stable_hash();
             for curve in curves.iter_mut() {
-                let counts = flat.next().expect("one block per grid cell");
+                let counts = blocks[&(curve.id, hash)];
                 curve
                     .metrics
                     .push(Metrics::from_counts(curve.id.name(), &counts));

@@ -1343,35 +1343,9 @@ impl Core {
     /// discarded (structures stay warm), then measures until
     /// `opts.max_ops` further µops have retired or the trace ends.
     pub fn run<T: TraceSource>(&mut self, mut trace: T, opts: &SimOptions) -> PerfCounts {
-        let mut pipe = Pipeline::new(&self.cfg, opts);
-        let mut cycle: u64 = 0;
-        loop {
-            cycle += 1;
-            let done = pipe.step(
-                cycle,
-                &self.cfg,
-                &mut self.hier.private,
-                &mut self.hier.shared,
-                &mut self.mmu,
-                &mut self.bp,
-                &mut trace,
-            );
-            if done {
-                break;
-            }
-            // Idle-cycle skip: after an unproductive cycle, jump over
-            // cycles in which no stage can act, with identical bulk
-            // stall attribution.
-            if !pipe.made_progress() {
-                if let Some((bound, block)) = pipe.next_event(cycle) {
-                    if bound > cycle + 1 {
-                        pipe.charge_idle(block, bound - 1 - cycle);
-                        cycle = bound - 1;
-                    }
-                }
-            }
-        }
-        pipe.finalize(&self.hier.private, &self.mmu, &self.bp)
+        let mut run = CoreRun::new(&self.cfg, opts);
+        run.advance(self, &mut trace, |_| false);
+        run.finish(self)
     }
 
     /// Like [`Core::run`], but additionally snapshot the counters every
@@ -1442,6 +1416,73 @@ impl Core {
             aggregate,
             samples,
         }
+    }
+}
+
+/// One pipeline's run on one [`Core`], resumable between cycles: the
+/// single-core step / idle-skip loop. [`Core::run`] drives it to the
+/// end in one call; [`crate::shared_trace`] pauses it at chunk
+/// boundaries of a trace several cores share. Pausing between cycles
+/// and resuming is the same loop as never pausing, so both callers
+/// measure bit-identical counters.
+#[derive(Debug)]
+pub(crate) struct CoreRun {
+    pipe: Pipeline,
+    cycle: u64,
+    done: bool,
+}
+
+impl CoreRun {
+    pub(crate) fn new(cfg: &CpuConfig, opts: &SimOptions) -> Self {
+        CoreRun {
+            pipe: Pipeline::new(cfg, opts),
+            cycle: 0,
+            done: false,
+        }
+    }
+
+    /// Step `core` through `trace` until the pipeline finishes or
+    /// `pause(trace)` holds before a cycle; returns whether it finished.
+    #[inline]
+    pub(crate) fn advance<T: TraceSource>(
+        &mut self,
+        core: &mut Core,
+        trace: &mut T,
+        pause: impl Fn(&T) -> bool,
+    ) -> bool {
+        let pipe = &mut self.pipe;
+        let mut cycle = self.cycle;
+        while !self.done && !pause(trace) {
+            cycle += 1;
+            self.done = pipe.step(
+                cycle,
+                &core.cfg,
+                &mut core.hier.private,
+                &mut core.hier.shared,
+                &mut core.mmu,
+                &mut core.bp,
+                trace,
+            );
+            // Idle-cycle skip: after an unproductive cycle, jump over
+            // cycles in which no stage can act, with identical bulk
+            // stall attribution.
+            if !self.done && !pipe.made_progress() {
+                if let Some((bound, block)) = pipe.next_event(cycle) {
+                    if bound > cycle + 1 {
+                        pipe.charge_idle(block, bound - 1 - cycle);
+                        cycle = bound - 1;
+                    }
+                }
+            }
+        }
+        self.cycle = cycle;
+        self.done
+    }
+
+    /// The measured counters of a finished run on `core`.
+    pub(crate) fn finish(&self, core: &Core) -> PerfCounts {
+        debug_assert!(self.done, "finish() before the run completed");
+        self.pipe.finalize(&core.hier.private, &core.mmu, &core.bp)
     }
 }
 

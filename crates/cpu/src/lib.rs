@@ -18,6 +18,8 @@
 //!   store buffer);
 //! * [`chip`] — N cores in deterministic lockstep behind one shared,
 //!   contended L3, modelling co-running Hadoop task slots;
+//! * [`shared_trace`] — one synthesized trace run on several machine
+//!   configurations at once, the driver behind a sweep curve;
 //! * [`counters::PerfCounts`] — every event the paper reports, with the
 //!   derived metrics used by each figure.
 //!
@@ -44,6 +46,7 @@ pub mod config;
 pub mod core;
 pub mod counters;
 pub mod sampling;
+pub mod shared_trace;
 pub mod tlb;
 
 pub use crate::chip::Chip;
@@ -51,3 +54,4 @@ pub use crate::config::{ConfigError, CpuConfig};
 pub use crate::core::{simulate, Core, SamplePlan, SimOptions};
 pub use crate::counters::PerfCounts;
 pub use crate::sampling::{IntervalSample, SampledRun};
+pub use crate::shared_trace::simulate_configs;

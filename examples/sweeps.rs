@@ -7,12 +7,15 @@
 //! cargo run --release --example sweeps -- --jsonl sw.jsonl # event artifact
 //! ```
 //!
-//! Every (axis, point, workload) grid cell is one pure simulation,
-//! sharded across `DCBENCH_JOBS` workers and memoized by the counter
-//! cache. With `--jsonl`, one `sweep_point` event per cell plus one
-//! `sweep_axis` summary per axis are streamed as JSON Lines in fixed
-//! grid order, so two runs with the same flags produce
-//! **byte-identical** files at any `DCBENCH_JOBS` setting.
+//! Every distinct (workload, config) grid cell is one pure simulation,
+//! memoized by the counter cache; each curve (one workload along one
+//! axis) is one job across `DCBENCH_JOBS` workers and simulates its
+//! cells together on one synthesized trace. The simulation count goes
+//! to stderr (`sweeps: simulations: N`) and equals the number of
+//! distinct cells at any width. With `--jsonl`, one `sweep_point`
+//! event per cell plus one `sweep_axis` summary per axis are streamed
+//! as JSON Lines in fixed grid order, so two runs with the same flags
+//! produce **byte-identical** files at any `DCBENCH_JOBS` setting.
 //!
 //! Set `DCBENCH_STORE=path/to/store.log` to warm-start from (and write
 //! new measurements through to) a persistent result store; a run
@@ -87,6 +90,7 @@ fn main() {
     if let Some(path) = jsonl {
         eprintln!("event artifact written to {path}");
     }
+    eprintln!("sweeps: simulations: {}", cache::sim_invocations());
     if store.is_some() {
         eprintln!(
             "dc-store: simulations: {} (store hits {}, store misses {}, write errors {})",
