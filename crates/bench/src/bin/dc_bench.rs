@@ -265,7 +265,7 @@ fn run_entries(quick: bool, only: Option<&str>) -> Vec<BenchEntry> {
     if want("obs_disabled_sampled_matrix") {
         let disabled = time_ms(|| {
             for &id in da {
-                bench.run_sampled(id, every);
+                bench.run_intervals(id, every);
             }
         });
         push("obs_disabled_sampled_matrix", disabled, sample_uops, 1);
@@ -277,7 +277,7 @@ fn run_entries(quick: bool, only: Option<&str>) -> Vec<BenchEntry> {
             .with_recorder(Recorder::jsonl(std::io::sink()));
         let recorded = time_ms(|| {
             for &id in da {
-                recording.run_sampled(id, every);
+                recording.run_intervals(id, every);
             }
         });
         push("obs_recorder_sampled_matrix", recorded, sample_uops, 1);

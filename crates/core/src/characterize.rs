@@ -26,7 +26,7 @@ use crate::profiles::profile;
 use crate::registry::BenchmarkId;
 use dc_cpu::{core::SimOptions, Chip, Core, CpuConfig, PerfCounts};
 use dc_obs::{Recorder, Value};
-use dc_perfmon::{msr, Metrics, PerfEvent, SampledMetrics};
+use dc_perfmon::{msr, IntervalSeries, Metrics, PerfEvent};
 use dc_trace::SyntheticTrace;
 
 /// Characterization harness: machine config + measurement window.
@@ -247,52 +247,52 @@ impl Characterizer {
         Metrics::from_counts(id.name(), &self.corun_counts(id, n)[0])
     }
 
-    /// Characterize one entry with **interval PMU sampling**: snapshot
+    /// Characterize one entry as an **interval PMU series**: snapshot
     /// the counters every `every_cycles` simulated cycles (the
     /// `perf stat -I` view) and derive per-interval IPC / L2 MPKI /
     /// L3 MPKI / branch MPKI.
     ///
-    /// Sampling is observation-only — the aggregate block inside the
-    /// returned [`SampledMetrics`] is bit-identical to
+    /// Recording is observation-only — the aggregate block inside the
+    /// returned [`IntervalSeries`] is bit-identical to
     /// [`Characterizer::raw_counts`] for the same entry — and the
     /// per-interval deltas telescope to that aggregate exactly. The
-    /// sampled path always simulates (series are not memoized; the
+    /// interval path always simulates (series are not memoized; the
     /// simulation is counted in [`crate::cache::sim_invocations`]).
     /// With a recorder attached, one `interval_sample` event per
     /// interval plus a `workload_sampled` summary are emitted, all
     /// timestamped in **simulated cycles** since the warm-up boundary.
-    pub fn run_sampled(&self, id: BenchmarkId, every_cycles: u64) -> SampledMetrics {
-        let run = self.raw_sampled(id, every_cycles);
-        let sampled = SampledMetrics::from_run(id.name(), &run);
-        self.emit_samples(&sampled);
-        sampled
+    pub fn run_intervals(&self, id: BenchmarkId, every_cycles: u64) -> IntervalSeries {
+        let run = self.raw_intervals(id, every_cycles);
+        let series = IntervalSeries::from_run(id.name(), &run);
+        self.emit_intervals(&series);
+        series
     }
 
-    /// The raw counter-level sampled run behind
-    /// [`Characterizer::run_sampled`] (for validation/calibration, the
+    /// The raw counter-level interval run behind
+    /// [`Characterizer::run_intervals`] (for validation/calibration, the
     /// way [`Characterizer::raw_counts`] sits behind
     /// [`Characterizer::run`]). Emits no events.
-    pub fn raw_sampled(&self, id: BenchmarkId, every_cycles: u64) -> dc_cpu::SampledRun {
+    pub fn raw_intervals(&self, id: BenchmarkId, every_cycles: u64) -> dc_cpu::IntervalRun {
         cache::note_simulation();
         let prof = profile(id);
         let trace = SyntheticTrace::new(&prof, self.entry_seed(id));
-        Core::new(self.cfg.clone()).run_sampled(trace, &self.opts, every_cycles)
+        Core::new(self.cfg.clone()).run_intervals(trace, &self.opts, every_cycles)
     }
 
     /// Emit one `interval_sample` event per interval plus the
     /// `workload_sampled` summary for an already-computed series (used
-    /// by [`crate::report::phase_exhibit`], which samples workloads in
+    /// by [`crate::report::phase_exhibit`], which records workloads in
     /// parallel but must emit in deterministic workload order).
-    pub(crate) fn emit_samples(&self, sampled: &SampledMetrics) {
+    pub(crate) fn emit_intervals(&self, series: &IntervalSeries) {
         if !self.recorder.is_enabled() {
             return;
         }
-        for iv in &sampled.intervals {
+        for iv in &series.intervals {
             self.recorder.emit(
                 iv.end_cycle,
                 "interval_sample",
                 vec![
-                    ("workload", Value::str(sampled.name.clone())),
+                    ("workload", Value::str(series.name.clone())),
                     ("interval", Value::U64(iv.index as u64)),
                     ("start_cycle", Value::U64(iv.start_cycle)),
                     ("end_cycle", Value::U64(iv.end_cycle)),
@@ -305,15 +305,15 @@ impl Characterizer {
             );
         }
         self.recorder.emit(
-            sampled.aggregate.cycles,
+            series.aggregate.cycles,
             "workload_sampled",
             vec![
-                ("workload", Value::str(sampled.name.clone())),
-                ("intervals", Value::U64(sampled.intervals.len() as u64)),
-                ("every_cycles", Value::U64(sampled.every_cycles)),
-                ("instructions", Value::U64(sampled.aggregate.instructions)),
-                ("ipc", Value::F64(sampled.aggregate.ipc())),
-                ("ipc_spread", Value::F64(sampled.ipc_spread())),
+                ("workload", Value::str(series.name.clone())),
+                ("intervals", Value::U64(series.intervals.len() as u64)),
+                ("every_cycles", Value::U64(series.every_cycles)),
+                ("instructions", Value::U64(series.aggregate.instructions)),
+                ("ipc", Value::F64(series.aggregate.ipc())),
+                ("ipc_spread", Value::F64(series.ipc_spread())),
             ],
         );
     }

@@ -233,28 +233,27 @@ pub fn corun_exhibit(bench: &Characterizer) -> FigureData {
 /// `perf stat -I`-style time series the paper's successor work
 /// (Jia et al., 2015) uses to show that map/shuffle/reduce phases have
 /// distinct micro-architectural behavior. One [`FigureData`] per
-/// workload: one row per sampling interval of `every_cycles` simulated
+/// workload: one row per counter interval of `every_cycles` simulated
 /// cycles, columns IPC / L2 MPKI / L3 MPKI / branch MPKI / interval
 /// instructions.
 ///
-/// Workloads are sampled in parallel ([`crate::pool`]), but with a
+/// Workloads are recorded in parallel ([`crate::pool`]), but with a
 /// recorder attached to `bench` the `interval_sample` /
 /// `workload_sampled` events are emitted afterwards on the caller
 /// thread, in workload order — so the JSONL artifact is byte-identical
 /// run to run, at any worker count.
 pub fn phase_exhibit(bench: &Characterizer, every_cycles: u64) -> Vec<FigureData> {
     let ids = BenchmarkId::data_analysis();
-    // Workers sample through a recorder-less clone; deterministic
+    // Workers record through a recorder-less clone; deterministic
     // emission happens below, outside the pool.
     let quiet = bench.clone().with_recorder(dc_obs::Recorder::disabled());
-    let series = crate::pool::parallel_map(ids.to_vec(), move |_, id| {
-        quiet.run_sampled(id, every_cycles)
+    let all = crate::pool::parallel_map(ids.to_vec(), move |_, id| {
+        quiet.run_intervals(id, every_cycles)
     });
-    series
-        .iter()
-        .map(|sampled| {
-            bench.emit_samples(sampled);
-            let rows = sampled
+    all.iter()
+        .map(|series| {
+            bench.emit_intervals(series);
+            let rows = series
                 .intervals
                 .iter()
                 .map(|iv| {
@@ -274,7 +273,7 @@ pub fn phase_exhibit(bench: &Characterizer, every_cycles: u64) -> Vec<FigureData
                 id: "Exhibit PH".into(),
                 title: format!(
                     "Phase behavior of {} (interval = {} cycles)",
-                    sampled.name, every_cycles
+                    series.name, every_cycles
                 ),
                 columns: vec![
                     "IPC".into(),

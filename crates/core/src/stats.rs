@@ -34,6 +34,7 @@
 //! * rendered floats go through Rust's shortest-round-trip `Display`
 //!   (JSON) or fixed-precision formatting (text), both deterministic.
 
+use dc_obs::event::push_f64;
 use dc_perfmon::Metrics;
 use std::fmt::Write as _;
 
@@ -553,17 +554,6 @@ pub fn subset(labels: Vec<String>, matrix: &[Vec<f64>], k: usize, linkage: Linka
         distances,
         dendrogram,
         clusters,
-    }
-}
-
-/// Append a JSON number: Rust's shortest-round-trip `Display` for
-/// finite values, `null` otherwise — the same rule as `dc-obs` and the
-/// server protocol, so every float this crate emits renders one way.
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
     }
 }
 

@@ -1,4 +1,5 @@
-//! The multi-core chip model: N cores sharing one contended L3.
+//! The multi-core chip model — N cores sharing one contended L3 — and
+//! the one cycle loop every simulation runs on.
 //!
 //! The paper's machines were dual Xeon E5645 chips — six cores behind a
 //! shared 12 MB L3 — running up to eight Hadoop map/reduce task slots
@@ -7,6 +8,16 @@
 //! private L1I/L1D/L2/TLB/predictor state ([`PrivateHierarchy`]) and is
 //! fed its own trace, while all cores compete for one [`SharedL3`] and
 //! its bounded memory channel.
+//!
+//! ## One loop
+//!
+//! [`Lockstep`] is the only loop that steps a [`Pipeline`]. A solo
+//! [`Core`] is a one-core chip, a co-run is an N-core chip, an interval
+//! series ([`Chip::run_intervals`]) is a run with a recorder per core,
+//! and each lane of a sweep curve ([`crate::shared_trace`]) is a
+//! one-core chip paused between turns. A 1-core chip is therefore
+//! **bit-identical** to [`Core::run`] by construction: core 0 carries a
+//! zero address salt and is the only core stepped.
 //!
 //! ## Interleaving and determinism contract
 //!
@@ -18,15 +29,16 @@
 //! run, on any machine, at any thread count. There is no wall-clock or
 //! scheduler dependence anywhere in the model.
 //!
+//! When no running core made progress, the clock jumps to the earliest
+//! cycle at which any of them could act ([`Pipeline::next_event`]),
+//! fenced at each core's next interval boundary; no core touches the
+//! shared level during the skipped span, so every counter is
+//! bit-identical to stepping each cycle.
+//!
 //! Cores that finish their measurement window early stop stepping
 //! (their counters freeze) while the remaining cores keep running and
 //! keep contending; this mirrors a straggling map task finishing late
 //! while its slot-mates have drained.
-//!
-//! A 1-core chip is **bit-identical** to [`Core::run`]: core 0 carries
-//! a zero address salt and the step order trivially matches the
-//! single-pipeline loop. This is pinned by tests in this module and by
-//! the golden-snapshot suite.
 //!
 //! Distinct cores salt the *physical* addresses they present to the
 //! shared level (`core_index << 44`, applied only beyond L2) so that
@@ -34,6 +46,7 @@
 //! physical pages, contending for L3 capacity rather than aliasing
 //! into shared lines.
 //!
+//! [`Core`]: crate::core::Core
 //! [`Core::run`]: crate::core::Core::run
 
 use dc_trace::TraceSource;
@@ -43,7 +56,7 @@ use crate::cache::{PrivateHierarchy, SharedL3};
 use crate::config::CpuConfig;
 use crate::core::{Block, Pipeline, SimOptions};
 use crate::counters::PerfCounts;
-use crate::sampling::{SampledRun, Sampler};
+use crate::intervals::{IntervalRecorder, IntervalRun};
 use crate::tlb::Mmu;
 
 /// Bit position of the per-core physical-address salt. High enough
@@ -117,206 +130,218 @@ impl Chip {
     /// # Panics
     ///
     /// Panics unless exactly one trace is supplied per core.
-    pub fn run<T: TraceSource>(&mut self, traces: Vec<T>, opts: &SimOptions) -> Vec<PerfCounts> {
-        assert_eq!(
-            traces.len(),
-            self.cores.len(),
-            "need exactly one trace per core"
-        );
-        let n = self.cores.len();
-        let mut traces = traces;
-        let mut pipes: Vec<Pipeline> = (0..n).map(|_| Pipeline::new(&self.cfg, opts)).collect();
-        let mut done = vec![false; n];
-        let mut remaining = n;
-        let mut cycle: u64 = 0;
-        let mut idle: Vec<(usize, Block)> = Vec::with_capacity(n);
-        while remaining > 0 {
-            cycle += 1;
-            for i in 0..n {
-                if done[i] {
-                    continue;
-                }
-                let core = &mut self.cores[i];
-                let finished = pipes[i].step(
-                    cycle,
-                    &self.cfg,
-                    &mut core.hier,
-                    &mut self.shared,
-                    &mut core.mmu,
-                    &mut core.bp,
-                    &mut traces[i],
-                );
-                if finished {
-                    done[i] = true;
-                    remaining -= 1;
-                }
-            }
-            if remaining == 0 {
-                break;
-            }
-            // Global idle skip: only when *every* active core agrees
-            // nothing can happen before `bound`. No core touches the
-            // shared level during the skipped span, so the lockstep
-            // interleave — and every counter — is bit-identical to
-            // stepping each cycle. A core that just made progress may
-            // act next cycle, so don't even probe in that case.
-            if pipes
-                .iter()
-                .zip(&done)
-                .any(|(p, &d)| !d && p.made_progress())
-            {
-                continue;
-            }
-            idle.clear();
-            let mut bound = u64::MAX;
-            let mut skippable = true;
-            for (i, pipe) in pipes.iter_mut().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                match pipe.next_event(cycle) {
-                    Some((b, blk)) => {
-                        bound = bound.min(b);
-                        idle.push((i, blk));
-                    }
-                    None => {
-                        skippable = false;
-                        break;
-                    }
-                }
-            }
-            if skippable && bound > cycle + 1 {
-                let skipped = bound - 1 - cycle;
-                for &(i, blk) in &idle {
-                    pipes[i].charge_idle(blk, skipped);
-                }
-                cycle = bound - 1;
-            }
-        }
-        pipes
-            .iter()
-            .zip(&self.cores)
-            .map(|(p, core)| p.finalize(&core.hier, &core.mmu, &core.bp))
-            .collect()
+    pub fn run<T: TraceSource>(
+        &mut self,
+        mut traces: Vec<T>,
+        opts: &SimOptions,
+    ) -> Vec<PerfCounts> {
+        self.drive(&mut traces, opts, None).counts(self)
     }
 
     /// Like [`Chip::run`], but each core also snapshots its counters
     /// every `every_cycles` **global** cycles past its own warm-up
-    /// boundary, returning one [`SampledRun`] per core (indexed by
-    /// core). Aggregates are bit-identical to [`Chip::run`] on the same
-    /// traces — sampling is observation-only — and each core's interval
-    /// deltas telescope to its aggregate exactly.
+    /// boundary (a `perf stat -I`-style series), returning one
+    /// [`IntervalRun`] per core (indexed by core). Aggregates are
+    /// bit-identical to [`Chip::run`] on the same traces — recording is
+    /// observation-only — and each core's interval deltas telescope to
+    /// its aggregate exactly.
     ///
     /// # Panics
     ///
-    /// Panics if `every_cycles` is zero or unless exactly one trace is
-    /// supplied per core.
-    pub fn run_sampled<T: TraceSource>(
+    /// Panics if `every_cycles` is zero, if `opts` enables SMARTS
+    /// sampling (interval series need the exact cycle clock), or unless
+    /// exactly one trace is supplied per core.
+    pub fn run_intervals<T: TraceSource>(
         &mut self,
-        traces: Vec<T>,
+        mut traces: Vec<T>,
         opts: &SimOptions,
         every_cycles: u64,
-    ) -> Vec<SampledRun> {
+    ) -> Vec<IntervalRun> {
+        self.drive(&mut traces, opts, Some(every_cycles))
+            .intervals(self)
+    }
+
+    /// Run one trace per core to completion, recording an interval
+    /// series per core when `every_cycles` is given; the finished run
+    /// holds the counters.
+    pub(crate) fn drive<T: TraceSource>(
+        &mut self,
+        traces: &mut [T],
+        opts: &SimOptions,
+        every_cycles: Option<u64>,
+    ) -> Lockstep {
+        let mut run = Lockstep::new(self, opts, every_cycles);
+        run.advance(self, traces, |_| false);
+        run
+    }
+}
+
+/// One core's pipeline within a [`Lockstep`] run.
+#[derive(Debug)]
+struct Slot {
+    pipe: Pipeline,
+    done: bool,
+    recorder: Option<IntervalRecorder>,
+    /// The stall cause an idle skip charges, as of the last probe.
+    idle: Block,
+}
+
+/// One run of a [`Chip`], resumable between cycles: the lockstep step /
+/// idle-skip loop (see the module docs). [`Chip::drive`], behind every
+/// `run*` entry point, drives it to the end in one call;
+/// [`crate::shared_trace`] pauses it at chunk boundaries of a trace
+/// several one-core chips share. Pausing between cycles and resuming is
+/// the same loop as never pausing, so every caller measures
+/// bit-identical counters.
+#[derive(Debug)]
+pub(crate) struct Lockstep {
+    slots: Vec<Slot>,
+    live: usize,
+    cycle: u64,
+}
+
+impl Lockstep {
+    /// A fresh run of `opts` on every core of `chip`, recording an
+    /// interval series per core when `every_cycles` is given.
+    pub(crate) fn new(chip: &Chip, opts: &SimOptions, every_cycles: Option<u64>) -> Self {
         assert!(
-            opts.sample.is_none(),
-            "interval-PMU sampling requires an exact (non-SMARTS) run"
+            every_cycles.is_none() || opts.sample.is_none(),
+            "interval series require an exact (non-SMARTS) run"
         );
+        let slots: Vec<Slot> = chip
+            .cores
+            .iter()
+            .map(|_| {
+                let pipe = Pipeline::new(&chip.cfg, opts);
+                let recorder = every_cycles.map(|every| IntervalRecorder::new(every, &pipe));
+                Slot {
+                    pipe,
+                    done: false,
+                    recorder,
+                    idle: Block::None,
+                }
+            })
+            .collect();
+        Lockstep {
+            live: slots.len(),
+            slots,
+            cycle: 0,
+        }
+    }
+
+    /// Step every live core of `chip` through its trace, one cycle at a
+    /// time, until all have finished or `pause(traces)` holds before a
+    /// cycle; returns whether all have finished.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless exactly one trace is supplied per core.
+    #[inline]
+    pub(crate) fn advance<T: TraceSource>(
+        &mut self,
+        chip: &mut Chip,
+        traces: &mut [T],
+        pause: impl Fn(&[T]) -> bool,
+    ) -> bool {
         assert_eq!(
             traces.len(),
-            self.cores.len(),
+            self.slots.len(),
             "need exactly one trace per core"
         );
-        let n = self.cores.len();
-        let mut traces = traces;
-        let mut pipes: Vec<Pipeline> = (0..n).map(|_| Pipeline::new(&self.cfg, opts)).collect();
-        let mut samplers: Vec<Sampler> = (0..n).map(|_| Sampler::new(every_cycles)).collect();
-        let mut warm: Vec<bool> = pipes.iter().map(|p| p.in_warmup()).collect();
-        let mut done = vec![false; n];
-        let mut remaining = n;
-        let mut cycle: u64 = 0;
-        let mut idle: Vec<(usize, Block)> = Vec::with_capacity(n);
-        while remaining > 0 {
+        let Chip { cfg, cores, shared } = chip;
+        // Slices and counters in locals: the per-cycle loop reloads
+        // nothing through `self` or `chip`.
+        let slots = &mut self.slots[..];
+        let cores = &mut cores[..];
+        let mut live = self.live;
+        let mut cycle = self.cycle;
+        while live > 0 && !pause(traces) {
             cycle += 1;
-            for i in 0..n {
-                if done[i] {
+            let lanes = slots.iter_mut().zip(cores.iter_mut());
+            for ((slot, core), trace) in lanes.zip(traces.iter_mut()) {
+                if slot.done {
                     continue;
                 }
-                let core = &mut self.cores[i];
-                let finished = pipes[i].step(
+                let finished = slot.pipe.step(
                     cycle,
-                    &self.cfg,
+                    cfg,
                     &mut core.hier,
-                    &mut self.shared,
+                    shared,
                     &mut core.mmu,
                     &mut core.bp,
-                    &mut traces[i],
+                    trace,
                 );
-                if warm[i] && !pipes[i].in_warmup() {
-                    samplers[i].rearm(pipes[i].cycle_base());
-                    warm[i] = false;
+                if let Some(rec) = &mut slot.recorder {
+                    rec.after_step(cycle, finished, &slot.pipe, &core.hier, &core.mmu, &core.bp);
                 }
                 if finished {
-                    done[i] = true;
-                    remaining -= 1;
-                    continue;
-                }
-                let core = &self.cores[i];
-                samplers[i].observe(cycle, &pipes[i], &core.hier, &core.mmu, &core.bp);
-            }
-            if remaining == 0 {
-                break;
-            }
-            // Same global idle skip as `run`, additionally fenced at
-            // each active core's next sample boundary so every interval
-            // snapshot is taken at exactly the cycle it would be taken
-            // by the per-cycle loop.
-            if pipes
-                .iter()
-                .zip(&done)
-                .any(|(p, &d)| !d && p.made_progress())
-            {
-                continue;
-            }
-            idle.clear();
-            let mut bound = u64::MAX;
-            let mut skippable = true;
-            for (i, pipe) in pipes.iter_mut().enumerate() {
-                if done[i] {
-                    continue;
-                }
-                match pipe.next_event(cycle) {
-                    Some((b, blk)) => {
-                        bound = bound.min(b).min(samplers[i].next_at());
-                        idle.push((i, blk));
-                    }
-                    None => {
-                        skippable = false;
-                        break;
-                    }
+                    slot.done = true;
+                    live -= 1;
                 }
             }
-            if skippable && bound > cycle + 1 {
-                let skipped = bound - 1 - cycle;
-                for &(i, blk) in &idle {
-                    pipes[i].charge_idle(blk, skipped);
-                }
-                cycle = bound - 1;
+            if live > 0 {
+                cycle = skip_idle(slots, cycle);
             }
         }
-        pipes
+        self.live = live;
+        self.cycle = cycle;
+        live == 0
+    }
+
+    /// The measured counters of a finished run, indexed by core.
+    pub(crate) fn counts(&self, chip: &Chip) -> Vec<PerfCounts> {
+        debug_assert_eq!(self.live, 0, "counts() before the run completed");
+        self.slots
             .iter()
-            .zip(&self.cores)
-            .zip(samplers)
-            .map(|((p, core), sampler)| {
-                let aggregate = p.finalize(&core.hier, &core.mmu, &core.bp);
-                SampledRun {
-                    every_cycles,
-                    aggregate,
-                    samples: sampler.finish(aggregate),
-                }
+            .zip(&chip.cores)
+            .map(|(slot, core)| slot.pipe.finalize(&core.hier, &core.mmu, &core.bp))
+            .collect()
+    }
+
+    /// Each core's counters and interval series, of a finished run
+    /// started with an interval length.
+    pub(crate) fn intervals(self, chip: &Chip) -> Vec<IntervalRun> {
+        let counts = self.counts(chip);
+        self.slots
+            .into_iter()
+            .zip(counts)
+            .map(|(slot, aggregate)| {
+                slot.recorder
+                    .expect("interval run has a recorder per core")
+                    .finish(aggregate)
             })
             .collect()
     }
+}
+
+/// Global idle skip after the step at `cycle`; returns the cycle the
+/// loop resumes from. Only when *every* live core agrees nothing can
+/// happen before `bound` (nor an interval close) is the span skipped,
+/// with each core's bulk stall attribution. A core that just made
+/// progress may act next cycle, so don't even probe then.
+#[inline]
+fn skip_idle(slots: &mut [Slot], cycle: u64) -> u64 {
+    if slots.iter().any(|s| !s.done && s.pipe.made_progress()) {
+        return cycle;
+    }
+    let mut bound = u64::MAX;
+    for slot in slots.iter_mut().filter(|s| !s.done) {
+        let Some((b, block)) = slot.pipe.next_event(cycle) else {
+            return cycle;
+        };
+        slot.idle = block;
+        bound = bound.min(b);
+        if let Some(rec) = &slot.recorder {
+            bound = bound.min(rec.next_at());
+        }
+    }
+    if bound <= cycle + 1 {
+        return cycle;
+    }
+    for slot in slots.iter_mut().filter(|s| !s.done) {
+        slot.pipe.charge_idle(slot.idle, bound - 1 - cycle);
+    }
+    bound - 1
 }
 
 #[cfg(test)]

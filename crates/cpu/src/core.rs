@@ -40,12 +40,12 @@
 //! Most simulated cycles do nothing: rename is blocked on one cause,
 //! fetch is waiting out a miss, and the ROB head has not completed.
 //! After every un-finished step, [`Pipeline::next_event`] computes the
-//! earliest future cycle at which *any* stage could act; the run loops
-//! jump the global clock there, bulk-charging the skipped cycles to the
-//! same stall counter the stepped loop would have charged. The skip is
-//! exact — counters, interleavings and final cycles are bit-identical
-//! to the cycle-by-cycle loop (pinned by tests here and by the golden
-//! suite).
+//! earliest future cycle at which *any* stage could act; the lockstep
+//! loop ([`crate::chip`]) jumps the global clock there, bulk-charging
+//! the skipped cycles to the same stall counter the stepped loop would
+//! have charged. The skip is exact — counters, interleavings and final
+//! cycles are bit-identical to the cycle-by-cycle loop (pinned by tests
+//! here and by the golden suite).
 //!
 //! ## SMARTS-style sampled simulation
 //!
@@ -62,10 +62,11 @@
 use dc_trace::{MicroOp, Mode, OpKind, TraceSource};
 
 use crate::branch::BranchPredictor;
-use crate::cache::{Hierarchy, PrivateHierarchy, SharedL3};
+use crate::cache::{PrivateHierarchy, SharedL3};
+use crate::chip::Chip;
 use crate::config::CpuConfig;
 use crate::counters::PerfCounts;
-use crate::sampling::{SampledRun, Sampler};
+use crate::intervals::IntervalRun;
 use crate::tlb::Mmu;
 
 /// Completion ring size for dependence resolution (must exceed the
@@ -458,17 +459,17 @@ pub(crate) enum Block {
     Store,
 }
 
-/// The per-core pipeline state machine: everything `Core::run`'s cycle
-/// loop used to keep on its stack, extracted so one global clock can
-/// step several pipelines in lockstep ([`crate::chip::Chip`]).
+/// The per-core pipeline state machine, kept apart from the machine
+/// structures so one global clock can step several pipelines in
+/// lockstep ([`crate::chip`]'s lockstep loop, the only caller of
+/// [`Pipeline::step`]).
 ///
 /// [`Pipeline::step`] advances exactly one cycle — retire, warm-up
 /// bookkeeping, fetch, rename/dispatch, stall attribution — against the
 /// private hierarchy / MMU / predictor it is handed, and returns `true`
-/// once the measurement target is met or the trace has drained. A lone
-/// pipeline stepped by a trivial `loop` is bit-identical to the original
-/// monolithic loop; N pipelines stepped round-robin within each cycle
-/// share an [`SharedL3`] deterministically.
+/// once the measurement target is met or the trace has drained. N
+/// pipelines stepped round-robin within each cycle share an
+/// [`SharedL3`] deterministically.
 #[derive(Debug)]
 pub(crate) struct Pipeline {
     rs_cap: usize,
@@ -507,7 +508,7 @@ pub(crate) struct Pipeline {
     final_cycle: u64,
     /// Whether the most recent [`Pipeline::step`] retired, fetched or
     /// renamed anything. After a productive cycle the next cycle may
-    /// act, so the run loops skip the `next_event` probe entirely.
+    /// act, so the lockstep loop skips the `next_event` probe entirely.
     made_progress: bool,
 
     // SMARTS sampling.
@@ -935,7 +936,7 @@ impl Pipeline {
         }
 
         // A cycle in which no stage moved cannot start moving on its
-        // own; the run loops only consult `next_event` after such a
+        // own; the lockstep loop only consults `next_event` after such a
         // cycle (calling it after a productive cycle would be correct
         // too, merely wasted work).
         self.made_progress = retired_now > 0 || fetched > 0 || renamed > 0;
@@ -1074,7 +1075,7 @@ impl Pipeline {
     /// could perform observable work, given the state after the step at
     /// `cycle`, plus the stall cause every intervening cycle would be
     /// charged to. `None` when the very next cycle might act (or when
-    /// skipping is not provably safe). The run loops use this to jump
+    /// skipping is not provably safe). The lockstep loop uses this to jump
     /// the clock over idle stretches; [`Pipeline::charge_idle`] applies
     /// the bulk attribution.
     pub(crate) fn next_event(&mut self, cycle: u64) -> Option<(u64, Block)> {
@@ -1300,13 +1301,11 @@ impl Pipeline {
 }
 
 /// The simulated core: real cache/TLB/predictor structures plus the
-/// timestamp pipeline model.
+/// timestamp pipeline model — a one-core [`Chip`], driven by the same
+/// lockstep loop as every other run.
 #[derive(Debug)]
 pub struct Core {
-    cfg: CpuConfig,
-    hier: Hierarchy,
-    mmu: Mmu,
-    bp: BranchPredictor,
+    chip: Chip,
 }
 
 // The parallel characterization pipeline ships whole simulations to
@@ -1325,16 +1324,13 @@ impl Core {
     /// Build a core for the given machine configuration.
     pub fn new(cfg: CpuConfig) -> Self {
         Core {
-            hier: Hierarchy::new(&cfg),
-            mmu: Mmu::new(&cfg),
-            bp: BranchPredictor::new(&cfg),
-            cfg,
+            chip: Chip::new(cfg, 1),
         }
     }
 
     /// The machine configuration in use.
     pub fn config(&self) -> &CpuConfig {
-        &self.cfg
+        self.chip.config()
     }
 
     /// Run `trace` through the pipeline and return the measured counters.
@@ -1343,146 +1339,38 @@ impl Core {
     /// discarded (structures stay warm), then measures until
     /// `opts.max_ops` further µops have retired or the trace ends.
     pub fn run<T: TraceSource>(&mut self, mut trace: T, opts: &SimOptions) -> PerfCounts {
-        let mut run = CoreRun::new(&self.cfg, opts);
-        run.advance(self, &mut trace, |_| false);
-        run.finish(self)
+        let run = self
+            .chip
+            .drive(std::slice::from_mut(&mut trace), opts, None);
+        run.counts(&self.chip)[0]
     }
 
     /// Like [`Core::run`], but additionally snapshot the counters every
     /// `every_cycles` simulated cycles (a `perf stat -I`-style series).
     ///
-    /// The returned [`SampledRun`] holds the per-interval counter
+    /// The returned [`IntervalRun`] holds the per-interval counter
     /// *deltas* plus the aggregate block. The aggregate is
     /// **bit-identical** to what [`Core::run`] returns for the same
-    /// trace and options — sampling reads pipeline state, it never
+    /// trace and options — recording reads pipeline state, it never
     /// perturbs it — and the deltas telescope: accumulating them
     /// reproduces the aggregate exactly. The interval clock restarts at
-    /// the warm-up boundary along with the statistics, so samples cover
-    /// precisely the measured window.
+    /// the warm-up boundary along with the statistics, so intervals
+    /// cover precisely the measured window.
     ///
     /// # Panics
     ///
     /// Panics if `every_cycles` is zero, or if `opts` enables SMARTS
     /// sampling (interval series require the exact cycle clock).
-    pub fn run_sampled<T: TraceSource>(
+    pub fn run_intervals<T: TraceSource>(
         &mut self,
         mut trace: T,
         opts: &SimOptions,
         every_cycles: u64,
-    ) -> SampledRun {
-        assert!(
-            opts.sample.is_none(),
-            "interval sampling requires exact mode (SimOptions::sample must be None)"
-        );
-        let mut pipe = Pipeline::new(&self.cfg, opts);
-        let mut sampler = Sampler::new(every_cycles);
-        let mut was_warm = pipe.in_warmup();
-        let mut cycle: u64 = 0;
-        loop {
-            cycle += 1;
-            let done = pipe.step(
-                cycle,
-                &self.cfg,
-                &mut self.hier.private,
-                &mut self.hier.shared,
-                &mut self.mmu,
-                &mut self.bp,
-                &mut trace,
-            );
-            if was_warm && !pipe.in_warmup() {
-                sampler.rearm(pipe.cycle_base());
-                was_warm = false;
-            }
-            if done {
-                break;
-            }
-            sampler.observe(cycle, &pipe, &self.hier.private, &self.mmu, &self.bp);
-            // Idle skips stop at the sampler's next boundary so every
-            // interval closes at exactly the cycle it would have.
-            if !pipe.made_progress() {
-                if let Some((bound, block)) = pipe.next_event(cycle) {
-                    let bound = bound.min(sampler.next_at());
-                    if bound > cycle + 1 {
-                        pipe.charge_idle(block, bound - 1 - cycle);
-                        cycle = bound - 1;
-                    }
-                }
-            }
-        }
-        let aggregate = pipe.finalize(&self.hier.private, &self.mmu, &self.bp);
-        let samples = sampler.finish(aggregate);
-        SampledRun {
-            every_cycles,
-            aggregate,
-            samples,
-        }
-    }
-}
-
-/// One pipeline's run on one [`Core`], resumable between cycles: the
-/// single-core step / idle-skip loop. [`Core::run`] drives it to the
-/// end in one call; [`crate::shared_trace`] pauses it at chunk
-/// boundaries of a trace several cores share. Pausing between cycles
-/// and resuming is the same loop as never pausing, so both callers
-/// measure bit-identical counters.
-#[derive(Debug)]
-pub(crate) struct CoreRun {
-    pipe: Pipeline,
-    cycle: u64,
-    done: bool,
-}
-
-impl CoreRun {
-    pub(crate) fn new(cfg: &CpuConfig, opts: &SimOptions) -> Self {
-        CoreRun {
-            pipe: Pipeline::new(cfg, opts),
-            cycle: 0,
-            done: false,
-        }
-    }
-
-    /// Step `core` through `trace` until the pipeline finishes or
-    /// `pause(trace)` holds before a cycle; returns whether it finished.
-    #[inline]
-    pub(crate) fn advance<T: TraceSource>(
-        &mut self,
-        core: &mut Core,
-        trace: &mut T,
-        pause: impl Fn(&T) -> bool,
-    ) -> bool {
-        let pipe = &mut self.pipe;
-        let mut cycle = self.cycle;
-        while !self.done && !pause(trace) {
-            cycle += 1;
-            self.done = pipe.step(
-                cycle,
-                &core.cfg,
-                &mut core.hier.private,
-                &mut core.hier.shared,
-                &mut core.mmu,
-                &mut core.bp,
-                trace,
-            );
-            // Idle-cycle skip: after an unproductive cycle, jump over
-            // cycles in which no stage can act, with identical bulk
-            // stall attribution.
-            if !self.done && !pipe.made_progress() {
-                if let Some((bound, block)) = pipe.next_event(cycle) {
-                    if bound > cycle + 1 {
-                        pipe.charge_idle(block, bound - 1 - cycle);
-                        cycle = bound - 1;
-                    }
-                }
-            }
-        }
-        self.cycle = cycle;
-        self.done
-    }
-
-    /// The measured counters of a finished run on `core`.
-    pub(crate) fn finish(&self, core: &Core) -> PerfCounts {
-        debug_assert!(self.done, "finish() before the run completed");
-        self.pipe.finalize(&core.hier.private, &core.mmu, &core.bp)
+    ) -> IntervalRun {
+        let run = self
+            .chip
+            .drive(std::slice::from_mut(&mut trace), opts, Some(every_cycles));
+        run.intervals(&self.chip).remove(0)
     }
 }
 
@@ -1494,6 +1382,7 @@ pub fn simulate<T: TraceSource>(trace: T, cfg: &CpuConfig, opts: &SimOptions) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Hierarchy;
     use dc_trace::profile::{AccessPattern, WorkloadProfile};
     use dc_trace::{MicroOp, SyntheticTrace};
 
@@ -1503,31 +1392,34 @@ mod tests {
     }
 
     /// Step a pipeline without idle-cycle skipping: the reference loop
-    /// the skip path must match bit-for-bit.
+    /// the skip path must match bit-for-bit. Returns the pipeline too,
+    /// so tests can inspect sampling-internal state after the run.
     fn run_unskipped<T: TraceSource>(
         mut trace: T,
         cfg: &CpuConfig,
         opts: &SimOptions,
-    ) -> PerfCounts {
-        let mut core = Core::new(cfg.clone());
+    ) -> (PerfCounts, Pipeline) {
+        let mut hier = Hierarchy::new(cfg);
+        let mut mmu = Mmu::new(cfg);
+        let mut bp = BranchPredictor::new(cfg);
         let mut pipe = Pipeline::new(cfg, opts);
         let mut cycle: u64 = 0;
         loop {
             cycle += 1;
-            let done = pipe.step(
+            if pipe.step(
                 cycle,
                 cfg,
-                &mut core.hier.private,
-                &mut core.hier.shared,
-                &mut core.mmu,
-                &mut core.bp,
+                &mut hier.private,
+                &mut hier.shared,
+                &mut mmu,
+                &mut bp,
                 &mut trace,
-            );
-            if done {
+            ) {
                 break;
             }
         }
-        pipe.finalize(&core.hier.private, &core.mmu, &core.bp)
+        let counts = pipe.finalize(&hier.private, &mmu, &bp);
+        (counts, pipe)
     }
 
     #[test]
@@ -1843,7 +1735,7 @@ mod tests {
         ];
         for (k, profile) in profiles.iter().enumerate() {
             let fast = simulate(SyntheticTrace::new(profile, 41 + k as u64), &cfg, &opts);
-            let slow = run_unskipped(SyntheticTrace::new(profile, 41 + k as u64), &cfg, &opts);
+            let (slow, _) = run_unskipped(SyntheticTrace::new(profile, 41 + k as u64), &cfg, &opts);
             assert_eq!(fast, slow, "profile {k}: skip must not change counters");
         }
         // Also under a short trace that drains inside the window.
@@ -1852,7 +1744,7 @@ mod tests {
             &cfg,
             &SimOptions::exact(1_000_000, 1_000_000),
         );
-        let slow = run_unskipped(
+        let (slow, _) = run_unskipped(
             SyntheticTrace::new(&profiles[0], 7).take(25_000),
             &cfg,
             &SimOptions::exact(1_000_000, 1_000_000),
@@ -1951,34 +1843,6 @@ mod tests {
         simulate(alu_stream(100), &cfg, &opts);
     }
 
-    /// Drive a pipeline to completion and return `(counts, pipeline)`
-    /// so tests can inspect sampling-internal state after the run.
-    fn run_keeping_pipeline<T: TraceSource>(
-        mut trace: T,
-        cfg: &CpuConfig,
-        opts: &SimOptions,
-    ) -> (PerfCounts, Pipeline) {
-        let mut core = Core::new(cfg.clone());
-        let mut pipe = Pipeline::new(cfg, opts);
-        let mut cycle: u64 = 0;
-        loop {
-            cycle += 1;
-            if pipe.step(
-                cycle,
-                cfg,
-                &mut core.hier.private,
-                &mut core.hier.shared,
-                &mut core.mmu,
-                &mut core.bp,
-                &mut trace,
-            ) {
-                break;
-            }
-        }
-        let counts = pipe.finalize(&core.hier.private, &core.mmu, &core.bp);
-        (counts, pipe)
-    }
-
     #[test]
     fn sampled_mode_splits_instructions_by_phase() {
         let cfg = CpuConfig::westmere_e5645();
@@ -1986,7 +1850,7 @@ mod tests {
             .build()
             .expect("valid");
         let opts = SimOptions::exact(200_000, 30_000).with_sampling(10_000, 30_000);
-        let (counts, pipe) = run_keeping_pipeline(SyntheticTrace::new(&profile, 7), &cfg, &opts);
+        let (counts, pipe) = run_unskipped(SyntheticTrace::new(&profile, 7), &cfg, &opts);
         let (ramp, detail, ffwd) = pipe.phase_instructions();
         assert!(ramp > 0, "post-warm-up window must include ramp prefixes");
         assert!(detail > 0, "measured spans retire in detail");
@@ -1998,7 +1862,7 @@ mod tests {
         assert!(ffwd > detail, "ffwd_ops=3×detail_ops plans skip most µops");
 
         // Exact mode reports an all-zero split.
-        let (_, exact) = run_keeping_pipeline(
+        let (_, exact) = run_unskipped(
             alu_stream(100_000),
             &cfg,
             &SimOptions::exact(50_000, 10_000),

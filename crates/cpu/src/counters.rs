@@ -109,7 +109,7 @@ impl PerfCounts {
         self.stores += other.stores;
     }
 
-    /// Event-wise difference `self - earlier`, for interval sampling:
+    /// Event-wise difference `self - earlier`, for interval series:
     /// `earlier` is a snapshot of the same monotonically counting block
     /// taken previously, so every field of `self` is `>=` its
     /// counterpart. Deltas over consecutive snapshots telescope —

@@ -1,19 +1,21 @@
-//! Interval PMU sampling: counter snapshots every N simulated cycles.
+//! Interval PMU series: counter snapshots every N simulated cycles.
 //!
 //! The paper's methodology is `perf stat` over a whole run — one
 //! aggregate block per workload. Its successor work (Jia et al., 2015)
 //! stresses that data-analysis workloads move through *phases* (map,
 //! shuffle, reduce; scan vs. aggregate) with distinct micro-
 //! architectural behavior, the thing `perf stat -I <ms>` shows on real
-//! hardware. This module is the simulated equivalent: while a
-//! [`Pipeline`] runs, a [`Sampler`] snapshots the counter block every
-//! `every_cycles` simulated cycles and keeps the per-interval *deltas*.
+//! hardware. This module is the simulated equivalent: while the chip's
+//! lockstep loop steps a [`Pipeline`], an [`IntervalRecorder`] snapshots
+//! the counter block every `every_cycles` simulated cycles and keeps the
+//! per-interval *deltas*. ("Sampled" elsewhere in the crate means SMARTS
+//! sampling, [`crate::core::SamplePlan`]; the two never mix.)
 //!
 //! Two invariants make the series trustworthy:
 //!
-//! * **Observation only.** Sampling reads pipeline/hierarchy statistics
-//!   and never writes simulator state, so a sampled run's aggregate is
-//!   bit-identical to the unsampled run of the same trace.
+//! * **Observation only.** Recording reads pipeline/hierarchy statistics
+//!   and never writes simulator state, so a recorded run's aggregate is
+//!   bit-identical to the plain run of the same trace.
 //! * **Telescoping.** Interval `k`'s delta is `snapshot(k) −
 //!   snapshot(k−1)`; the final partial interval tops the series up to
 //!   the aggregate. Accumulating every delta therefore reproduces the
@@ -33,7 +35,7 @@ use crate::core::Pipeline;
 use crate::counters::PerfCounts;
 use crate::tlb::Mmu;
 
-/// One interval of a sampled run: the counter *deltas* accumulated in
+/// One interval of a recorded run: the counter *deltas* accumulated in
 /// `start_cycle..end_cycle` (cycles since the warm-up boundary).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntervalSample {
@@ -47,21 +49,21 @@ pub struct IntervalSample {
     pub counts: PerfCounts,
 }
 
-/// The result of a sampled simulation: the per-interval series plus
-/// the aggregate block (bit-identical to the unsampled run).
+/// The result of an interval run: the per-interval series plus the
+/// aggregate block (bit-identical to the plain run).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampledRun {
-    /// The sampling period, in simulated cycles.
+pub struct IntervalRun {
+    /// The interval length, in simulated cycles.
     pub every_cycles: u64,
-    /// Whole-window counters, exactly as the unsampled run reports.
+    /// Whole-window counters, exactly as the plain run reports.
     pub aggregate: PerfCounts,
     /// Per-interval deltas; the last interval is usually partial.
     pub samples: Vec<IntervalSample>,
 }
 
-impl SampledRun {
+impl IntervalRun {
     /// Accumulate every interval delta: equals
-    /// [`SampledRun::aggregate`] bit-for-bit, by construction.
+    /// [`IntervalRun::aggregate`] bit-for-bit, by construction.
     pub fn summed(&self) -> PerfCounts {
         let mut total = PerfCounts::default();
         for s in &self.samples {
@@ -71,57 +73,62 @@ impl SampledRun {
     }
 }
 
-/// Drives interval collection for one pipeline. The caller steps the
-/// pipeline; the sampler only reads.
+/// Collects one pipeline's interval series. The lockstep loop steps the
+/// pipeline; the recorder only reads.
 #[derive(Debug)]
-pub(crate) struct Sampler {
+pub(crate) struct IntervalRecorder {
     every: u64,
     /// Next *global* cycle to snapshot at.
     next_at: u64,
+    /// The pipeline has not yet crossed its warm-up boundary.
+    warm: bool,
     /// The previous snapshot (cumulative), the subtrahend of the next
     /// delta. Its `cycles` field doubles as the interval start.
     prev: PerfCounts,
     samples: Vec<IntervalSample>,
 }
 
-impl Sampler {
-    pub(crate) fn new(every_cycles: u64) -> Self {
-        assert!(every_cycles > 0, "sampling interval must be positive");
-        Sampler {
+impl IntervalRecorder {
+    /// A recorder for `pipe`, before its first step.
+    pub(crate) fn new(every_cycles: u64, pipe: &Pipeline) -> Self {
+        assert!(every_cycles > 0, "interval length must be positive");
+        IntervalRecorder {
             every: every_cycles,
             next_at: every_cycles,
+            warm: pipe.in_warmup(),
             prev: PerfCounts::default(),
             samples: Vec::new(),
         }
     }
 
-    /// Next global cycle at which a snapshot fires; idle skipping is
-    /// fenced here so every interval closes at exactly the cycle the
-    /// per-cycle loop would close it.
+    /// Next global cycle at which a snapshot fires; the loop fences
+    /// its idle skip here so every interval closes at exactly the cycle
+    /// the per-cycle loop would close it.
     pub(crate) fn next_at(&self) -> u64 {
         self.next_at
     }
 
-    /// The pipeline crossed its warm-up boundary at global cycle
-    /// `cycle_base` and reset its statistics: drop warm-up samples and
-    /// restart the interval clock at the boundary.
-    pub(crate) fn rearm(&mut self, cycle_base: u64) {
-        self.samples.clear();
-        self.prev = PerfCounts::default();
-        self.next_at = cycle_base.saturating_add(self.every);
-    }
-
-    /// Called once per (not-done) cycle after the pipeline stepped;
-    /// snapshots when the global clock reaches the next boundary.
-    pub(crate) fn observe(
+    /// Called after every step of the pipeline at global `cycle`. At the
+    /// warm-up boundary the pipeline reset its statistics, so the
+    /// warm-up samples are dropped and the interval clock restarts
+    /// there; on any cycle but the last, a snapshot is taken once the
+    /// clock reaches the next boundary.
+    pub(crate) fn after_step(
         &mut self,
         cycle: u64,
+        finished: bool,
         pipe: &Pipeline,
         hier: &PrivateHierarchy,
         mmu: &Mmu,
         bp: &BranchPredictor,
     ) {
-        if cycle < self.next_at {
+        if self.warm && !pipe.in_warmup() {
+            self.warm = false;
+            self.samples.clear();
+            self.prev = PerfCounts::default();
+            self.next_at = pipe.cycle_base().saturating_add(self.every);
+        }
+        if finished || cycle < self.next_at {
             return;
         }
         let snap = pipe.snapshot(cycle, hier, mmu, bp);
@@ -130,12 +137,16 @@ impl Sampler {
     }
 
     /// Close the series with the final (usually partial) interval up
-    /// to the aggregate block, and return the samples.
-    pub(crate) fn finish(mut self, aggregate: PerfCounts) -> Vec<IntervalSample> {
+    /// to the aggregate block.
+    pub(crate) fn finish(mut self, aggregate: PerfCounts) -> IntervalRun {
         if self.samples.is_empty() || aggregate != self.prev {
             self.push_delta(aggregate);
         }
-        self.samples
+        IntervalRun {
+            every_cycles: self.every,
+            aggregate,
+            samples: self.samples,
+        }
     }
 
     fn push_delta(&mut self, snap: PerfCounts) {
@@ -159,7 +170,7 @@ mod tests {
     use dc_trace::SyntheticTrace;
 
     fn profile() -> WorkloadProfile {
-        WorkloadProfile::builder("sampled")
+        WorkloadProfile::builder("intervals")
             .region(4 << 20, 1.0, AccessPattern::Random)
             .build()
             .expect("valid test profile")
@@ -172,7 +183,7 @@ mod tests {
     #[test]
     fn deltas_sum_to_aggregate_bit_for_bit() {
         let cfg = CpuConfig::westmere_e5645();
-        let run = Core::new(cfg).run_sampled(SyntheticTrace::new(&profile(), 7), &opts(), 10_000);
+        let run = Core::new(cfg).run_intervals(SyntheticTrace::new(&profile(), 7), &opts(), 10_000);
         assert!(
             run.samples.len() > 1,
             "window should span several intervals"
@@ -185,20 +196,20 @@ mod tests {
         let cfg = CpuConfig::westmere_e5645();
         let plain = Core::new(cfg.clone()).run(SyntheticTrace::new(&profile(), 7), &opts());
         for every in [1, 977, 10_000, u64::MAX] {
-            let sampled = Core::new(cfg.clone()).run_sampled(
+            let recorded = Core::new(cfg.clone()).run_intervals(
                 SyntheticTrace::new(&profile(), 7),
                 &opts(),
                 every,
             );
-            assert_eq!(sampled.aggregate, plain, "every={every}");
-            assert_eq!(sampled.summed(), plain, "every={every}");
+            assert_eq!(recorded.aggregate, plain, "every={every}");
+            assert_eq!(recorded.summed(), plain, "every={every}");
         }
     }
 
     #[test]
     fn intervals_are_contiguous_and_cover_the_window() {
         let cfg = CpuConfig::westmere_e5645();
-        let run = Core::new(cfg).run_sampled(SyntheticTrace::new(&profile(), 3), &opts(), 7_500);
+        let run = Core::new(cfg).run_intervals(SyntheticTrace::new(&profile(), 3), &opts(), 7_500);
         assert_eq!(run.samples[0].start_cycle, 0);
         for w in run.samples.windows(2) {
             assert_eq!(w[0].end_cycle, w[1].start_cycle);
@@ -210,7 +221,7 @@ mod tests {
         }
         let last = run.samples.last().expect("nonempty");
         assert_eq!(last.end_cycle, run.aggregate.cycles);
-        // Full interior intervals span exactly the sampling period.
+        // Full interior intervals span exactly the interval length.
         for s in &run.samples[..run.samples.len() - 1] {
             assert_eq!(s.counts.cycles, 7_500);
         }
@@ -219,7 +230,8 @@ mod tests {
     #[test]
     fn oversized_interval_yields_one_sample() {
         let cfg = CpuConfig::westmere_e5645();
-        let run = Core::new(cfg).run_sampled(SyntheticTrace::new(&profile(), 5), &opts(), u64::MAX);
+        let run =
+            Core::new(cfg).run_intervals(SyntheticTrace::new(&profile(), 5), &opts(), u64::MAX);
         assert_eq!(run.samples.len(), 1);
         assert_eq!(run.samples[0].counts, run.aggregate);
         assert_eq!(run.samples[0].start_cycle, 0);
@@ -230,7 +242,7 @@ mod tests {
     fn trace_draining_inside_warmup_still_telescopes() {
         let cfg = CpuConfig::westmere_e5645();
         let short = SimOptions::exact(1_000_000, 1_000_000);
-        let run = Core::new(cfg.clone()).run_sampled(
+        let run = Core::new(cfg.clone()).run_intervals(
             SyntheticTrace::new(&profile(), 9).take(20_000),
             &short,
             5_000,
@@ -250,9 +262,9 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let plain = Chip::new(cfg.clone(), 3).run(traces(3), &opts());
-        let sampled = Chip::new(cfg.clone(), 3).run_sampled(traces(3), &opts(), 9_000);
-        assert_eq!(sampled.len(), 3);
-        for (core, (s, p)) in sampled.iter().zip(&plain).enumerate() {
+        let recorded = Chip::new(cfg.clone(), 3).run_intervals(traces(3), &opts(), 9_000);
+        assert_eq!(recorded.len(), 3);
+        for (core, (s, p)) in recorded.iter().zip(&plain).enumerate() {
             assert_eq!(s.aggregate, *p, "core {core} aggregate");
             assert_eq!(s.summed(), *p, "core {core} telescoping");
             assert!(s.samples.len() > 1, "core {core} series");
@@ -260,9 +272,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sampling interval must be positive")]
+    #[should_panic(expected = "interval length must be positive")]
     fn zero_interval_panics() {
         let cfg = CpuConfig::westmere_e5645();
-        Core::new(cfg).run_sampled(SyntheticTrace::new(&profile(), 1), &opts(), 0);
+        Core::new(cfg).run_intervals(SyntheticTrace::new(&profile(), 1), &opts(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exact (non-SMARTS) run")]
+    fn smarts_run_panics() {
+        let cfg = CpuConfig::westmere_e5645();
+        let smarts = opts().with_sampling(5_000, 20_000);
+        Core::new(cfg).run_intervals(SyntheticTrace::new(&profile(), 1), &smarts, 10_000);
     }
 }

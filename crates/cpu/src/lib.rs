@@ -17,7 +17,10 @@
 //!   paper-style stall attribution (fetch / RAT / RS / ROB / load /
 //!   store buffer);
 //! * [`chip`] — N cores in deterministic lockstep behind one shared,
-//!   contended L3, modelling co-running Hadoop task slots;
+//!   contended L3, modelling co-running Hadoop task slots, and the one
+//!   cycle loop every run uses (a [`Core`] is a one-core chip);
+//! * [`intervals`] — `perf stat -I`-style interval series of the
+//!   counters, recorded by that loop;
 //! * [`shared_trace`] — one synthesized trace run on several machine
 //!   configurations at once, the driver behind a sweep curve;
 //! * [`counters::PerfCounts`] — every event the paper reports, with the
@@ -45,7 +48,7 @@ pub mod chip;
 pub mod config;
 pub mod core;
 pub mod counters;
-pub mod sampling;
+pub mod intervals;
 pub mod shared_trace;
 pub mod tlb;
 
@@ -53,5 +56,5 @@ pub use crate::chip::Chip;
 pub use crate::config::{ConfigError, CpuConfig};
 pub use crate::core::{simulate, Core, SamplePlan, SimOptions};
 pub use crate::counters::PerfCounts;
-pub use crate::sampling::{IntervalSample, SampledRun};
+pub use crate::intervals::{IntervalRun, IntervalSample};
 pub use crate::shared_trace::simulate_configs;

@@ -9,7 +9,8 @@
 //! ## Turns and the window's memory bound
 //!
 //! The driver runs the cores in turns: each core steps (through the
-//! same resumable loop as [`Core::run`]) until its cursor passes the
+//! same resumable lockstep loop as [`Core::run`], on a one-core
+//! [`Chip`]) until its cursor passes the
 //! next chunk boundary, a multiple of `CHUNK_OPS` µops, or its window
 //! finishes; then the next core takes its turn. After every core has
 //! had its turn, the window drops the µops below the slowest live
@@ -31,8 +32,9 @@
 
 use dc_trace::{MicroOp, TraceSource};
 
+use crate::chip::{Chip, Lockstep};
 use crate::config::CpuConfig;
-use crate::core::{Core, CoreRun, SamplePlan, SimOptions};
+use crate::core::{Core, SamplePlan, SimOptions};
 use crate::counters::PerfCounts;
 
 /// µops each core consumes per turn: the default sampling plan's
@@ -119,10 +121,11 @@ impl<T: TraceSource> Iterator for Cursor<'_, T> {
     }
 }
 
-/// One configuration's core, its resumable run and its trace position.
+/// One configuration's one-core chip, its resumable run and its trace
+/// position.
 struct Lane {
-    core: Core,
-    run: CoreRun,
+    chip: Chip,
+    run: Lockstep,
     pos: u64,
 }
 
@@ -153,10 +156,13 @@ fn run_shared<T: TraceSource>(
     let mut window = Window::new(trace);
     let mut lanes: Vec<Lane> = cfgs
         .iter()
-        .map(|cfg| Lane {
-            core: Core::new(cfg.clone()),
-            run: CoreRun::new(cfg, opts),
-            pos: 0,
+        .map(|cfg| {
+            let chip = Chip::new(cfg.clone(), 1);
+            Lane {
+                run: Lockstep::new(&chip, opts, None),
+                chip,
+                pos: 0,
+            }
         })
         .collect();
     let mut boundary = 0;
@@ -164,14 +170,14 @@ fn run_shared<T: TraceSource>(
         boundary += CHUNK_OPS;
         let mut slowest: Option<u64> = None;
         for lane in &mut lanes {
-            let mut cursor = Cursor {
+            let mut cursor = [Cursor {
                 window: &mut window,
                 pos: lane.pos,
-            };
+            }];
             let done = lane
                 .run
-                .advance(&mut lane.core, &mut cursor, |c| c.pos >= boundary);
-            lane.pos = cursor.pos;
+                .advance(&mut lane.chip, &mut cursor, |c| c[0].pos >= boundary);
+            lane.pos = cursor[0].pos;
             if !done {
                 slowest = Some(slowest.map_or(lane.pos, |s| s.min(lane.pos)));
             }
@@ -181,7 +187,7 @@ fn run_shared<T: TraceSource>(
             None => break,
         }
     }
-    let counts = lanes.iter().map(|l| l.run.finish(&l.core)).collect();
+    let counts = lanes.iter().map(|l| l.run.counts(&l.chip)[0]).collect();
     (counts, window.high_water.max(window.ops.len()))
 }
 

@@ -50,10 +50,7 @@ impl Value {
         match self {
             Value::U64(v) => push_display(out, v),
             Value::I64(v) => push_display(out, v),
-            Value::F64(v) if v.is_finite() => push_display(out, v),
-            // JSON has no NaN/Inf; encode them as null rather than
-            // emitting an invalid line.
-            Value::F64(_) => out.push_str("null"),
+            Value::F64(v) => push_f64(out, *v),
             Value::Str(s) => write_json_string(out, s),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         }
@@ -63,6 +60,19 @@ impl Value {
 fn push_display(out: &mut String, v: &impl std::fmt::Display) {
     use std::fmt::Write;
     let _ = write!(out, "{v}");
+}
+
+/// Append a JSON number for `v`: Rust's shortest-round-trip `Display`
+/// for finite values (deterministic across platforms), `null` for
+/// non-finite ones — JSON has no NaN/Inf, so they encode as null rather
+/// than as an invalid line. The one float rule of every JSON surface
+/// in the workspace: events, the server protocol and the subset result.
+pub fn push_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        push_display(out, &v);
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// Append `s` to `out` as a JSON string literal (quoted, escaped).

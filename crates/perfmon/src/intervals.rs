@@ -1,16 +1,16 @@
-//! The `perf stat -I`-shaped view: derived metrics per sampling
+//! The `perf stat -I`-shaped view: derived metrics per counter
 //! interval.
 //!
-//! `dc-cpu`'s [`SampledRun`] carries raw per-interval counter deltas;
+//! `dc-cpu`'s [`IntervalRun`] carries raw per-interval counter deltas;
 //! this module derives the per-interval rates the phase exhibits plot —
 //! IPC, L2/L3 MPKI, branch MPKI — exactly the way `perf stat -I <ms>`
 //! prints rates per interval on real hardware. Ratios are computed
 //! *within* each interval (from its deltas), so a phase shift shows up
 //! undiluted instead of being averaged into the whole-window mean.
 
-use dc_cpu::{IntervalSample, PerfCounts, SampledRun};
+use dc_cpu::{IntervalRun, IntervalSample, PerfCounts};
 
-/// Derived rates for one sampling interval.
+/// Derived rates for one counter interval.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntervalMetrics {
     /// Position in the series (0-based).
@@ -48,25 +48,25 @@ impl IntervalMetrics {
     }
 }
 
-/// A workload's sampled series plus its whole-window aggregate: the
+/// A workload's interval series plus its whole-window aggregate: the
 /// data behind one Exhibit PH panel.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SampledMetrics {
+pub struct IntervalSeries {
     /// Workload name.
     pub name: String,
-    /// Sampling period, in simulated cycles.
+    /// Interval length, in simulated cycles.
     pub every_cycles: u64,
     /// Aggregate counters for the whole measured window (bit-identical
-    /// to the unsampled run).
+    /// to the plain run).
     pub aggregate: PerfCounts,
     /// Per-interval derived rates, in time order.
     pub intervals: Vec<IntervalMetrics>,
 }
 
-impl SampledMetrics {
-    /// Derive the interval series from a sampled run.
-    pub fn from_run(name: impl Into<String>, run: &SampledRun) -> Self {
-        SampledMetrics {
+impl IntervalSeries {
+    /// Derive the interval series from an interval run.
+    pub fn from_run(name: impl Into<String>, run: &IntervalRun) -> Self {
+        IntervalSeries {
             name: name.into(),
             every_cycles: run.every_cycles,
             aggregate: run.aggregate,
@@ -99,7 +99,7 @@ impl SampledMetrics {
 mod tests {
     use super::*;
 
-    fn run() -> SampledRun {
+    fn run() -> IntervalRun {
         let mk = |cycles, instructions, l2, l3, mis| PerfCounts {
             cycles,
             instructions,
@@ -112,7 +112,7 @@ mod tests {
         let b = mk(1_000, 500, 30, 20, 1);
         let mut aggregate = a;
         aggregate.accumulate(&b);
-        SampledRun {
+        IntervalRun {
             every_cycles: 1_000,
             aggregate,
             samples: vec![
@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn per_interval_rates_come_from_the_interval_deltas() {
-        let m = SampledMetrics::from_run("sort", &run());
+        let m = IntervalSeries::from_run("sort", &run());
         assert_eq!(m.name, "sort");
         assert_eq!(m.intervals.len(), 2);
         assert!((m.intervals[0].ipc - 2.0).abs() < 1e-12);
@@ -149,9 +149,9 @@ mod tests {
 
     #[test]
     fn ipc_spread_measures_phase_contrast() {
-        let m = SampledMetrics::from_run("sort", &run());
+        let m = IntervalSeries::from_run("sort", &run());
         assert!((m.ipc_spread() - 1.5).abs() < 1e-12);
-        let flat = SampledMetrics {
+        let flat = IntervalSeries {
             intervals: Vec::new(),
             ..m
         };

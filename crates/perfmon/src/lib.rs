@@ -12,6 +12,8 @@
 //! * [`metrics::Metrics`] — the derived per-workload metrics behind every
 //!   figure of the paper (IPC, stall breakdown, MPKIs, walk rates,
 //!   misprediction ratio);
+//! * [`intervals`] — per-interval rates of an interval run, the
+//!   `perf stat -I` view;
 //! * [`osstat`] — `/proc`-style OS-level statistics (disk writes,
 //!   network traffic) used by Figure 5.
 //!
@@ -32,13 +34,13 @@
 #![warn(missing_docs)]
 
 pub mod events;
+pub mod intervals;
 pub mod metrics;
 pub mod msr;
 pub mod osstat;
-pub mod sampling;
 
 pub use events::PerfEvent;
+pub use intervals::{IntervalMetrics, IntervalSeries};
 pub use metrics::Metrics;
 pub use msr::{ChipPmu, Pmu};
 pub use osstat::OsStats;
-pub use sampling::{IntervalMetrics, SampledMetrics};

@@ -21,8 +21,9 @@
 //! (`cache_miss` + `sim_uncached`), so it is exact per job even when
 //! other jobs run concurrently against the same process-wide cache.
 
-use crate::protocol::{push_f64, JobSpec};
+use crate::protocol::JobSpec;
 use dc_cpu::CpuConfig;
+use dc_obs::event::push_f64;
 use dc_obs::{Event, Recorder, Sink, Value};
 use dc_store::json::write_json_string;
 use dcbench::{pool, Characterizer};

@@ -514,22 +514,10 @@ pub fn event_frame(id: &RequestId, event: &dc_obs::Event) -> String {
     out
 }
 
-/// Append a JSON number for `v`: Rust's shortest-round-trip `Display`
-/// for finite values (deterministic across platforms), `null` for
-/// non-finite ones — mirroring the `dc-obs` serializer so every number
-/// the daemon emits obeys one rule.
-pub fn push_f64(out: &mut String, v: f64) {
-    use std::fmt::Write;
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_obs::event::push_f64;
 
     #[test]
     fn submit_round_trip_with_defaults() {

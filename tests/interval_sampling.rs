@@ -1,6 +1,7 @@
-//! Interval PMU sampling through the characterizer: observation-only
-//! sampling, telescoping deltas, deterministic event streams, and the
-//! Exhibit PH pipeline end to end — plus the SMARTS sampled-mode
+//! Interval PMU series through the characterizer: observation-only
+//! recording, telescoping deltas, deterministic event streams, and the
+//! Exhibit PH pipeline end to end (its JSONL pinned byte for byte in
+//! `golden_exhibit_ph.jsonl`) — plus the SMARTS sampled-mode
 //! conservation laws (what the extrapolation may and may not move) and
 //! the sampling-off bit-identity pin against the pre-refactor goldens.
 
@@ -24,8 +25,8 @@ const EVERY: u64 = 20_000;
 fn sampling_with_recorder_disabled_changes_no_counters() {
     let c = harness();
     for id in [BenchmarkId::Sort, BenchmarkId::Grep, BenchmarkId::KMeans] {
-        let run = c.raw_sampled(id, EVERY);
-        // The sampled aggregate equals the unsampled simulation of the
+        let run = c.raw_intervals(id, EVERY);
+        // The interval run's aggregate equals the plain simulation of the
         // same (entry, config, window, seed) bit-for-bit…
         assert_eq!(run.aggregate, c.raw_counts(id), "{id:?} aggregate");
         // …and the interval deltas telescope back to it exactly.
@@ -36,8 +37,8 @@ fn sampling_with_recorder_disabled_changes_no_counters() {
 #[test]
 fn sampled_metrics_mirror_the_raw_series() {
     let c = harness();
-    let raw = c.raw_sampled(BenchmarkId::Sort, EVERY);
-    let derived = c.run_sampled(BenchmarkId::Sort, EVERY);
+    let raw = c.raw_intervals(BenchmarkId::Sort, EVERY);
+    let derived = c.run_intervals(BenchmarkId::Sort, EVERY);
     assert_eq!(derived.name, BenchmarkId::Sort.name());
     assert_eq!(derived.every_cycles, EVERY);
     assert_eq!(derived.aggregate, raw.aggregate);
@@ -226,6 +227,10 @@ proptest! {
     }
 }
 
+/// The Exhibit PH event stream of [`harness`] at [`EVERY`], as
+/// `same_seed_runs_produce_byte_identical_jsonl` records it.
+const GOLDEN_EXHIBIT_PH: &[u8] = include_bytes!("golden_exhibit_ph.jsonl");
+
 #[test]
 fn same_seed_runs_produce_byte_identical_jsonl() {
     let run_once = || {
@@ -240,6 +245,12 @@ fn same_seed_runs_produce_byte_identical_jsonl() {
     let b = run_once();
     assert!(!a.is_empty());
     assert_eq!(a, b, "same-seed phase exhibits must serialize identically");
+    // Pinned byte for byte: every interval closes on the same cycle
+    // with the same deltas as when the pin was captured.
+    assert!(
+        a == GOLDEN_EXHIBIT_PH,
+        "Exhibit PH JSONL drifted from tests/golden_exhibit_ph.jsonl"
+    );
 
     // And every line is a self-contained JSON object.
     let text = String::from_utf8(a).expect("utf-8 jsonl");

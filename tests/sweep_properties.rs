@@ -7,7 +7,7 @@
 //! bigger last-level cache must not miss more, and a predictor with
 //! more history must not mispredict more. These must hold for **all
 //! eleven** data-analysis workloads, not just the golden config — and
-//! the interval-sampling conservation law (deltas telescope bit-for-bit
+//! the interval-series conservation law (deltas telescope bit-for-bit
 //! to the aggregate) must survive at every swept machine, too.
 
 use dc_cpu::core::SimOptions;
@@ -120,8 +120,8 @@ proptest! {
     }
 
     /// Interval-sample deltas telescope bit-for-bit to the aggregate at
-    /// *every* swept machine, not just the golden config: the sampling
-    /// subsystem may not assume anything about the geometry under it.
+    /// *every* swept machine, not just the golden config: the interval
+    /// recorder may not assume anything about the geometry under it.
     #[test]
     fn sampling_conserves_at_swept_points(
         w in 0usize..11,
@@ -134,7 +134,7 @@ proptest! {
             .expect("valid grid value");
         let bench = harness().with_config(cfg);
         let id = da_ids()[w];
-        let run = bench.raw_sampled(id, every_kcycles * 1000);
+        let run = bench.raw_intervals(id, every_kcycles * 1000);
         prop_assert_eq!(run.summed(), run.aggregate, "{}", id.name());
         prop_assert_eq!(run.aggregate, bench.raw_counts(id), "{}", id.name());
     }
