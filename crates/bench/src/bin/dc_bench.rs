@@ -11,11 +11,12 @@
 //!     --baseline BENCH_baseline.json --tolerance 0.25
 //! ```
 //!
-//! With `--baseline`, every `full_matrix_*`, `chip_*`, `sweep_*`,
-//! `subset_*`, `server_*`, `obs_disabled*`, and `metrics_disabled*` entry is
-//! compared against the same-named entry in the baseline file; any
-//! wall-clock more than `tolerance` above baseline fails the run
-//! (exit 1). `DCBENCH_JOBS` caps the parallel
+//! Each entry times one distinct code path. With `--baseline`, every
+//! `full_matrix_*`, `chip_*`, `sweep_*`, `subset_*`, `server_*`,
+//! `obs_disabled*`, and `metrics_disabled*` entry is compared against
+//! the same-named entry in the baseline file; a wall-clock more than
+//! `tolerance` above baseline, or a gated entry the baseline does not
+//! list, fails the run (exit 1). `DCBENCH_JOBS` caps the parallel
 //! phase's worker count, as everywhere else.
 //!
 //! Besides `BENCH_<label>.json`, the run writes
@@ -25,7 +26,9 @@
 
 use dc_datagen::Scale;
 use dc_mapreduce::engine::JobConfig;
+use dc_obs::event::write_json_string;
 use dc_obs::{Recorder, Value};
+use dc_store::json::{parse_json, Json};
 use dcbench::{cache, cluster_experiments, pool, sweep, Characterizer};
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -174,21 +177,8 @@ fn run_entries(quick: bool, only: Option<&str>) -> Vec<BenchEntry> {
         push("full_matrix_cached", cached, uops, jobs);
     }
 
-    // The matrix entries the SoA/SMARTS work added. `full_matrix_soa`
-    // re-times the exact sequential pass under its post-refactor name:
-    // `full_matrix_sequential`'s baseline preserves the pre-SoA
-    // trajectory point, while this entry's baseline pins the
-    // flat-array engine's level so future regressions gate against the
-    // tighter number. `full_matrix_sampled` runs the same matrix under
-    // the default SMARTS plan — the fast path for window-hungry
-    // consumers (sweeps, co-run grids).
-    if want("full_matrix_soa") {
-        cache::clear();
-        let soa = time_ms(|| {
-            bench.run_all_sequential();
-        });
-        push("full_matrix_soa", soa, uops, 1);
-    }
+    // The same matrix under the default SMARTS plan — the fast path
+    // for window-hungry consumers (sweeps, co-run grids).
     if want("full_matrix_sampled") {
         let plan = dc_cpu::SamplePlan::DEFAULT;
         let sampled_bench = bench.clone().with_sampling(plan.detail_ops, plan.ffwd_ops);
@@ -285,13 +275,13 @@ fn run_entries(quick: bool, only: Option<&str>) -> Vec<BenchEntry> {
 
     // Metrics-registry overhead: the cold parallel matrix with the
     // global registry switched off (must cost nothing — gates against
-    // its baseline) and on (the default — informational). The matrix
-    // crosses every instrumented path: cache counters per lookup, pool
-    // gauges per parallel_map, simulator phase counters per run.
-    if want("metrics_disabled") || want("metrics_enabled_matrix") {
-        eprintln!("dc-bench: metrics-registry overhead (cold parallel matrix)");
-    }
+    // its baseline). The registry is on by default, so
+    // `full_matrix_parallel` is the enabled side of the pair. The
+    // matrix crosses every instrumented path: cache counters per
+    // lookup, pool gauges per parallel_map, simulator phase counters
+    // per run.
     if want("metrics_disabled") {
+        eprintln!("dc-bench: metrics-registry overhead (cold parallel matrix)");
         dc_obs::metrics::global().set_enabled(false);
         cache::clear();
         let off = time_ms(|| {
@@ -299,13 +289,6 @@ fn run_entries(quick: bool, only: Option<&str>) -> Vec<BenchEntry> {
         });
         dc_obs::metrics::global().set_enabled(true);
         push("metrics_disabled", off, uops, jobs);
-    }
-    if want("metrics_enabled_matrix") {
-        cache::clear();
-        let on = time_ms(|| {
-            bench.run_all();
-        });
-        push("metrics_enabled_matrix", on, uops, jobs);
     }
 
     // Sensitivity-sweep path: the eleven DA workloads along a two-point
@@ -464,10 +447,11 @@ fn server_client(addr: std::net::SocketAddr, client: usize, rounds: usize) {
     let stream = std::net::TcpStream::connect(addr).expect("connect dc-server");
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
     let mut stream = stream;
-    let recv = |reader: &mut BufReader<std::net::TcpStream>| -> String {
+    let recv = |reader: &mut BufReader<std::net::TcpStream>| -> Json {
         let mut line = String::new();
         reader.read_line(&mut line).expect("daemon response");
-        line
+        assert!(!line.is_empty(), "daemon dropped the connection");
+        parse_json(&line).unwrap_or_else(|e| panic!("unparsable reply {line:?}: {e}"))
     };
     for round in 0..rounds {
         let submit = format!(
@@ -477,32 +461,32 @@ fn server_client(addr: std::net::SocketAddr, client: usize, rounds: usize) {
         stream.write_all(submit.as_bytes()).expect("send submit");
         stream.flush().expect("flush submit");
         let accepted = recv(&mut reader);
-        assert!(
-            accepted.contains("\"ok\":true"),
-            "submit rejected: {accepted}"
-        );
-        let job = {
-            let pat = "\"job\":\"";
-            let start = accepted.find(pat).expect("job name in response") + pat.len();
-            let end = accepted[start..].find('"').expect("terminated job name");
-            accepted[start..start + end].to_string()
+        let job = match (
+            accepted.get("ok"),
+            accepted.get("result").and_then(|r| r.get("job")),
+        ) {
+            (Some(Json::Bool(true)), Some(Json::Str(job))) => job.clone(),
+            _ => panic!("submit rejected: {accepted:?}"),
         };
-        let follow = format!(
-            "{{\"id\":\"bench-c{client}-r{round}-f\",\"verb\":\"stream\",\"job\":\"{job}\"}}\n"
-        );
+        let mut follow =
+            format!("{{\"id\":\"bench-c{client}-r{round}-f\",\"verb\":\"stream\",\"job\":");
+        write_json_string(&mut follow, &job);
+        follow.push_str("}\n");
         stream.write_all(follow.as_bytes()).expect("send stream");
         stream.flush().expect("flush stream");
-        loop {
+        // Event frames until the final response, the one line with `ok`.
+        let last = loop {
             let line = recv(&mut reader);
-            assert!(!line.is_empty(), "daemon dropped the connection");
-            if line.contains("\"ok\":") {
-                assert!(
-                    line.contains("\"done\""),
-                    "job did not finish cleanly: {line}"
-                );
-                break;
+            if line.get("ok").is_some() {
+                break line;
             }
-        }
+        };
+        let state = last.get("result").and_then(|r| r.get("state"));
+        assert!(
+            last.get("ok") == Some(&Json::Bool(true))
+                && matches!(state, Some(Json::Str(s)) if s == "done"),
+            "job did not finish cleanly: {last:?}"
+        );
     }
 }
 
@@ -550,7 +534,9 @@ fn write_events_jsonl(path: &str, opts: &Options, entries: &[BenchEntry]) -> std
 fn render_json(label: &str, quick: bool, entries: &[BenchEntry]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"label\": \"{label}\",");
+    out.push_str("  \"label\": ");
+    write_json_string(&mut out, label);
+    out.push_str(",\n");
     let _ = writeln!(
         out,
         "  \"window\": \"{}\",",
@@ -571,35 +557,19 @@ fn render_json(label: &str, quick: bool, entries: &[BenchEntry]) -> String {
     out
 }
 
-/// Pull `"key": "<string>"` out of one JSON line.
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
-/// Pull `"key": <number>` out of one JSON line.
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Parse the (name, wall_ms) pairs from a `BENCH_*.json` emitted by
-/// this harness (one entry object per line).
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    text.lines()
-        .filter_map(|line| {
-            let name = json_str(line, "name")?;
-            let wall = json_num(line, "wall_ms")?;
-            Some((name.to_string(), wall))
+/// Parse the (name, wall_ms) pairs of the `entries` array of a
+/// `BENCH_*.json` emitted by this harness.
+fn parse_baseline(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = parse_json(text)?;
+    let Some(Json::Arr(entries)) = doc.get("entries") else {
+        return Err("no \"entries\" array".to_string());
+    };
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, e)| match (e.get("name"), e.get("wall_ms")) {
+            (Some(Json::Str(name)), Some(Json::Num(wall))) => Ok((name.clone(), *wall)),
+            _ => Err(format!("entry {i} lacks a string name or numeric wall_ms")),
         })
         .collect()
 }
@@ -608,27 +578,34 @@ fn parse_baseline(text: &str) -> Vec<(String, f64)> {
 /// (the warm-cache pass) cannot trip on scheduler noise.
 const GATE_SLACK_MS: f64 = 50.0;
 
-/// Compare the full-matrix, chip, sweep, server, recorder-disabled and
-/// metrics-disabled entries against the baseline; returns the list of
-/// human-readable regression descriptions. `obs_recorder_*` and
-/// `metrics_enabled_*` entries are informational only — the contract
-/// is that the *disabled* paths stay free, not that instrumentation is.
+/// Name prefixes of the entries the baseline gates. The engine,
+/// cluster-model and `obs_recorder_*` entries are informational only —
+/// the contract is that the *disabled* instrumentation paths stay
+/// free, not that instrumentation is.
+const GATED_PREFIXES: &[&str] = &[
+    "full_matrix",
+    "chip_",
+    "sweep_",
+    "subset_",
+    "server_",
+    "obs_disabled",
+    "metrics_disabled",
+];
+
+/// Compare every gated entry against the baseline; returns the list of
+/// human-readable failures. A gated entry the baseline does not list is
+/// a failure too, so a renamed or new entry cannot escape the gate.
 fn regressions(current: &[BenchEntry], baseline: &[(String, f64)], tolerance: f64) -> Vec<String> {
     let mut bad = Vec::new();
-    for e in current.iter().filter(|e| {
-        e.name.starts_with("full_matrix")
-            || e.name.starts_with("chip_")
-            || e.name.starts_with("sweep_")
-            || e.name.starts_with("subset_")
-            || e.name.starts_with("server_")
-            || e.name.starts_with("obs_disabled")
-            || e.name.starts_with("metrics_disabled")
-    }) {
+    for e in current
+        .iter()
+        .filter(|e| GATED_PREFIXES.iter().any(|p| e.name.starts_with(p)))
+    {
         let Some((_, base_ms)) = baseline.iter().find(|(n, _)| n == e.name) else {
-            eprintln!(
-                "dc-bench: note: baseline has no entry '{}' — skipped",
+            bad.push(format!(
+                "{}: gated entry has no baseline line (add one to the baseline file)",
                 e.name
-            );
+            ));
             continue;
         };
         let limit = base_ms * (1.0 + tolerance) + GATE_SLACK_MS;
@@ -691,11 +668,13 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let baseline = parse_baseline(&text);
-        if baseline.is_empty() {
-            eprintln!("dc-bench: baseline {baseline_path} has no parsable entries");
-            return ExitCode::from(2);
-        }
+        let baseline = match parse_baseline(&text) {
+            Ok(b) => b,
+            Err(e) => {
+                eprintln!("dc-bench: cannot parse baseline {baseline_path}: {e}");
+                return ExitCode::from(2);
+            }
+        };
         let bad = regressions(&entries, &baseline, opts.tolerance);
         if !bad.is_empty() {
             for b in &bad {
@@ -704,7 +683,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "dc-bench: no full-matrix regression vs {baseline_path} (tolerance {:.0}%)",
+            "dc-bench: no gated regression vs {baseline_path} (tolerance {:.0}%)",
             opts.tolerance * 100.0
         );
     }
@@ -731,12 +710,47 @@ mod tests {
                 threads: 4,
             },
         ];
-        let json = render_json("test", true, &entries);
-        let parsed = parse_baseline(&json);
+        // A label with JSON metacharacters still yields a parsable file.
+        let label = "ci \"nightly\" \\ run";
+        let json = render_json(label, true, &entries);
+        let doc = parse_json(&json).expect("rendered report parses");
+        assert_eq!(doc.get("label"), Some(&Json::Str(label.to_string())));
+        let parsed = parse_baseline(&json).expect("baseline parses");
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, "full_matrix_sequential");
         assert!((parsed[0].1 - 1234.5).abs() < 1e-9);
         assert!((parsed[1].1 - 321.0).abs() < 1e-9);
+        assert!(parse_baseline("{\"entries\": [{\"name\": \"x\"}]}").is_err());
+        assert!(parse_baseline("not json").is_err());
+
+        // The committed baseline: unique names, positive wall-clocks, and
+        // no line for an entry this harness no longer emits.
+        let committed = parse_baseline(include_str!("../../../../BENCH_baseline.json"))
+            .expect("committed baseline parses");
+        assert!(!committed.is_empty());
+        for (i, (name, wall_ms)) in committed.iter().enumerate() {
+            assert!(*wall_ms > 0.0, "{name}: wall_ms {wall_ms}");
+            assert!(
+                committed[..i].iter().all(|(n, _)| n != name),
+                "duplicate baseline line {name}"
+            );
+        }
+        for gone in ["full_matrix_soa", "metrics_enabled_matrix"] {
+            assert!(committed.iter().all(|(n, _)| n != gone), "{gone}");
+        }
+    }
+
+    #[test]
+    fn field_extractors() {
+        let line = r#"{"name": "x", "wall_ms": 12.5, "uops_per_s": 1e3, "threads": 2}"#;
+        let entry = parse_json(line).expect("entry parses");
+        assert_eq!(entry.get("name"), Some(&Json::Str("x".to_string())));
+        assert_eq!(entry.get("wall_ms"), Some(&Json::Num(12.5)));
+        assert_eq!(entry.get("threads"), Some(&Json::Num(2.0)));
+        assert_eq!(entry.get("missing"), None);
+        let parsed =
+            parse_baseline(&format!("{{\"entries\": [{line}]}}")).expect("baseline parses");
+        assert_eq!(parsed, vec![("x".to_string(), 12.5)]);
     }
 
     #[test]
@@ -831,29 +845,36 @@ mod tests {
         let bad = regressions(&obs, &obs_base, 0.25);
         assert_eq!(bad.len(), 1);
         assert!(bad[0].contains("obs_disabled_sampled_matrix"));
-        // Same split for the metrics registry: the disabled path gates,
-        // the enabled path is informational.
-        let metrics = vec![
-            BenchEntry {
-                name: "metrics_disabled",
-                wall_ms: 2000.0,
-                uops_per_s: 0.0,
-                threads: 4,
-            },
-            BenchEntry {
-                name: "metrics_enabled_matrix",
-                wall_ms: 9000.0,
-                uops_per_s: 0.0,
-                threads: 4,
-            },
-        ];
-        let metrics_base = vec![
-            ("metrics_disabled".to_string(), 1000.0),
-            ("metrics_enabled_matrix".to_string(), 1000.0),
-        ];
+        // The metrics-registry-disabled path gates too.
+        let metrics = vec![BenchEntry {
+            name: "metrics_disabled",
+            wall_ms: 2000.0,
+            uops_per_s: 0.0,
+            threads: 4,
+        }];
+        let metrics_base = vec![("metrics_disabled".to_string(), 1000.0)];
         let bad = regressions(&metrics, &metrics_base, 0.25);
         assert_eq!(bad.len(), 1);
         assert!(bad[0].contains("metrics_disabled"));
+        // A gated entry the baseline does not list fails the gate; an
+        // informational one without a line does not.
+        let unlisted = vec![
+            BenchEntry {
+                name: "sweep_l3_renamed",
+                wall_ms: 1.0,
+                uops_per_s: 0.0,
+                threads: 1,
+            },
+            BenchEntry {
+                name: "engine_new_path",
+                wall_ms: 1.0,
+                uops_per_s: 0.0,
+                threads: 1,
+            },
+        ];
+        let bad = regressions(&unlisted, &metrics_base, 0.25);
+        assert_eq!(bad.len(), 1);
+        assert!(bad[0].contains("sweep_l3_renamed") && bad[0].contains("no baseline line"));
     }
 
     #[test]
@@ -899,14 +920,5 @@ mod tests {
         assert!(!selected("full_matrix_cached", Some("full_matrix_seq")));
         // The empty prefix matches everything (same as no filter).
         assert!(selected("chip_corun_sort_x4", Some("")));
-    }
-
-    #[test]
-    fn field_extractors() {
-        let line = r#"    {"name": "x", "wall_ms": 12.5, "uops_per_s": 1e3, "threads": 2},"#;
-        assert_eq!(json_str(line, "name"), Some("x"));
-        assert_eq!(json_num(line, "wall_ms"), Some(12.5));
-        assert_eq!(json_num(line, "threads"), Some(2.0));
-        assert_eq!(json_num(line, "missing"), None);
     }
 }

@@ -1,19 +1,19 @@
-//! # dc-benches — the benchmark harness
+//! # dc-benches — CI's measurement and artifact checks
 //!
-//! Criterion targets that regenerate every exhibit of the paper
-//! (`benches/figures.rs`, `benches/tables.rs`), ablation studies for the
-//! paper's architectural recommendations (`benches/ablations.rs`), and
-//! micro-benchmarks of the real workload kernels (`benches/kernels.rs`).
+//! Three binaries, each the one path from code to a checked number:
 //!
-//! Each figure bench *prints the regenerated rows once* and then times
-//! the regeneration, so `cargo bench` doubles as the reproduction run;
-//! EXPERIMENTS.md records the printed series against the paper's.
+//! * `dc-bench` — times every distinct hot path (characterization
+//!   matrix, engine, cluster model, chip co-run, sweeps, store,
+//!   subsetting, daemon) and gates the run against
+//!   `BENCH_baseline.json`;
+//! * `obs-schema-check` — validates `dc-obs` JSONL artifacts against
+//!   [`schema`] and metrics expositions against [`metrics_text`];
+//! * `sampled-validation` — holds SMARTS sampled simulation to its
+//!   documented error bounds.
+//!
+//! Exhibits are regenerated by the `characterize_all`, `sweeps`,
+//! `phases` and `subsetting` examples; the end-to-end benchmark is the
+//! separate `perfbench` package.
 
 pub mod metrics_text;
 pub mod schema;
-
-/// Shared quick-characterizer constructor so every bench measures the
-/// same configuration.
-pub fn bench_characterizer() -> dcbench::Characterizer {
-    dcbench::Characterizer::quick()
-}

@@ -12,10 +12,11 @@
 //! anywhere in the stack without documenting it here makes the
 //! schema-check CI job fail on the first artifact that contains it.
 //!
-//! The hardened JSON reader this validator uses lives in
-//! [`dc_store::json`] (re-exported here, its original home) so the
-//! event validator and the persistent store's recovery path share one
-//! parser — and one adversarial-input contract.
+//! The hardened JSON reader this validator uses is [`dc_store::json`],
+//! so the event validator and the persistent store's recovery path
+//! share one parser — and one adversarial-input contract.
+
+use dc_store::json::{parse_json, Json};
 
 /// Required fields per event kind. Extra fields are allowed (the
 /// producer may enrich events); missing ones fail validation, as does
@@ -130,8 +131,6 @@ pub const EVENT_SCHEMA: &[(&str, &[&str])] = &[
     ),
     ("job_done", &["job", "state", "simulations"]),
 ];
-
-pub use dc_store::json::{parse_json, Json, MAX_DEPTH};
 
 /// The validated envelope of one event line.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,9 +1,8 @@
 //! Table/figure renderers: regenerate every exhibit of the paper.
 //!
 //! Each `figure*`/`table*` function returns a structured
-//! [`FigureData`] and a ready-to-print text rendering, so both the
-//! examples and the Criterion benches print exactly the rows/series the
-//! paper reports.
+//! [`FigureData`] and a ready-to-print text rendering, so the examples
+//! print exactly the rows/series the paper reports.
 
 use crate::characterize::Characterizer;
 use crate::cluster_experiments;

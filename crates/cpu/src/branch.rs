@@ -4,8 +4,8 @@
 //! data-analysis branch behaviour is regular enough that "a simpler
 //! branch predictor may be preferred". We model a gshare predictor with
 //! configurable history length (`history_bits == 0` degenerates to a
-//! static not-taken predictor, the simplest possible design, used by the
-//! predictor ablation bench).
+//! static not-taken predictor, the simplest possible design, the low
+//! end of Exhibit SW's predictor axis).
 
 use crate::config::CpuConfig;
 

@@ -14,8 +14,9 @@
 //!   misprediction ratio);
 //! * [`intervals`] — per-interval rates of an interval run, the
 //!   `perf stat -I` view;
-//! * [`osstat`] — `/proc`-style OS-level statistics (disk writes,
-//!   network traffic) used by Figure 5.
+//! * [`osstat`] — a `/proc`-style OS-level statistics block (disk
+//!   writes, network traffic); unused by the figures, which take disk
+//!   writes from the cluster model.
 //!
 //! ```
 //! use dc_perfmon::events::PerfEvent;
@@ -42,5 +43,5 @@ pub mod osstat;
 pub use events::PerfEvent;
 pub use intervals::{IntervalMetrics, IntervalSeries};
 pub use metrics::Metrics;
-pub use msr::{ChipPmu, Pmu};
+pub use msr::Pmu;
 pub use osstat::OsStats;

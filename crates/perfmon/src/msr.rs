@@ -95,76 +95,6 @@ impl Pmu {
     }
 }
 
-/// Per-core PMU spaces for a whole chip, with chip-level aggregation —
-/// the software view `perf stat -a` presents: every core carries its
-/// own four select/PMC register pairs, and a socket-wide read sums the
-/// per-core PMCs.
-///
-/// Feed it one [`PerfCounts`] block per core (as returned by
-/// [`dc_cpu::Chip::run`], indexed by core) via [`ChipPmu::observe`].
-#[derive(Debug, Clone)]
-pub struct ChipPmu {
-    cores: Vec<Pmu>,
-}
-
-impl ChipPmu {
-    /// A chip of `num_cores` PMUs, all counters disabled.
-    ///
-    /// # Panics
-    /// Panics if `num_cores` is zero.
-    pub fn new(num_cores: usize) -> Self {
-        assert!(num_cores > 0, "a chip needs at least one core");
-        ChipPmu {
-            cores: vec![Pmu::new(); num_cores],
-        }
-    }
-
-    /// Number of per-core PMU spaces.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Program counter `idx` on **every** core to count `event`
-    /// (`perf`'s per-CPU event groups program all CPUs identically).
-    pub fn program_all(&mut self, idx: usize, event: PerfEvent) {
-        for pmu in &mut self.cores {
-            pmu.program(idx, event);
-        }
-    }
-
-    /// Accumulate one core's simulation interval into that core's PMCs.
-    ///
-    /// # Panics
-    /// Panics if `core` is out of range.
-    pub fn observe(&mut self, core: usize, counts: &PerfCounts) {
-        self.cores[core].observe(counts);
-    }
-
-    /// Read `IA32_PMCx` of one core.
-    ///
-    /// # Panics
-    /// Panics if `core` is out of range or `idx >= NUM_COUNTERS`.
-    pub fn read_core(&self, core: usize, idx: usize) -> u64 {
-        self.cores[core].read(idx)
-    }
-
-    /// Chip-wide (socket-aggregated) value of counter `idx`: the sum of
-    /// that PMC over every core.
-    ///
-    /// # Panics
-    /// Panics if `idx >= NUM_COUNTERS`.
-    pub fn read_chip(&self, idx: usize) -> u64 {
-        self.cores.iter().map(|p| p.read(idx)).sum()
-    }
-
-    /// Zero every core's PMCs (selections stay programmed).
-    pub fn clear(&mut self) {
-        for pmu in &mut self.cores {
-            pmu.clear();
-        }
-    }
-}
-
 /// Collect every catalogue event from a counter block by multiplexing the
 /// four hardware counters across groups, as `perf stat` does when more
 /// events are requested than counters exist.
@@ -244,30 +174,6 @@ mod tests {
         assert!(pmu.selection(0).is_some());
         pmu.observe(&sample_counts());
         assert_eq!(pmu.read(0), 1_000);
-    }
-
-    #[test]
-    fn chip_pmu_aggregates_across_cores() {
-        let mut chip = ChipPmu::new(3);
-        chip.program_all(0, PerfEvent::InstructionsRetired);
-        chip.program_all(1, PerfEvent::L2Misses);
-        for core in 0..3 {
-            chip.observe(core, &sample_counts());
-        }
-        // One extra interval lands on core 1 only.
-        chip.observe(1, &sample_counts());
-        assert_eq!(chip.read_core(0, 0), 1_000);
-        assert_eq!(chip.read_core(1, 0), 2_000);
-        assert_eq!(chip.read_chip(0), 4_000);
-        assert_eq!(chip.read_chip(1), 4 * 12);
-        chip.clear();
-        assert_eq!(chip.read_chip(0), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_core_chip_pmu_panics() {
-        ChipPmu::new(0);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! The paper supplements hardware counters with OS-level data "such as
 //! the number of disk writes" read from the proc filesystem (Figure 5:
-//! disk writes per second). In our reproduction the MapReduce engine and
-//! cluster model account their I/O into an [`OsStats`] block, and
-//! [`OsStats::render_proc_diskstats`] formats it the way
-//! `/proc/diskstats` would, keeping the collection path shaped like the
-//! paper's.
+//! disk writes per second). [`OsStats::render_proc_diskstats`] formats
+//! a block the way `/proc/diskstats` would. Nothing in the workspace
+//! records into it yet: Figure 5 comes from
+//! `dcbench::cluster_experiments::figure5_disk_writes`.
 
 use std::fmt;
 

@@ -1,8 +1,8 @@
 //! The workspace's hardened JSON reader.
 //!
 //! Two consumers parse JSON off disk: the `dc-obs` event-schema
-//! validator in `dc_benches::schema` (which re-exports this module, its
-//! original home) and the store's record recovery in [`crate::log`].
+//! validator in `dc_benches::schema` and the store's record recovery
+//! in [`crate::log`].
 //! Both read files that may be truncated mid-write, bit-flipped, or
 //! adversarial, so the contract is strict: **every** malformed input
 //! comes back as `Err`, never a panic and never a stack overflow. The

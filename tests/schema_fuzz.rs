@@ -1,5 +1,5 @@
-//! Fuzz-style robustness tests for `dc_benches::schema`'s hand-rolled
-//! JSON parser and event validators.
+//! Fuzz-style robustness tests for the hand-rolled JSON parser
+//! (`dc_store::json`) and `dc_benches::schema`'s event validators.
 //!
 //! The parser's job is reading JSONL artifacts off disk — files that
 //! may be truncated mid-write, corrupted, or adversarial. The contract
@@ -15,7 +15,8 @@
 //! `Recovery` (possibly empty) for any byte soup, never an error and
 //! never a panic.
 
-use dc_benches::schema::{parse_json, validate_line, validate_stream, Json};
+use dc_benches::schema::{validate_line, validate_stream};
+use dc_store::json::{parse_json, Json};
 use dc_store::{decode_payload, frame_line, recover};
 use proptest::prelude::*;
 

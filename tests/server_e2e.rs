@@ -5,6 +5,7 @@
 //! test of the `--stdio` transport against the actual binary.
 
 use dc_server::{Server, ServerConfig};
+use dc_store::json::{parse_json, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
@@ -122,8 +123,7 @@ impl Conn {
 /// First `"name":"…"` string field anywhere in a raw response (enough
 /// for the flat envelopes these tests inspect).
 fn field_str(raw: &str, name: &str) -> Option<String> {
-    fn find(doc: &dc_benches::schema::Json, name: &str) -> Option<String> {
-        use dc_benches::schema::Json;
+    fn find(doc: &Json, name: &str) -> Option<String> {
         match doc {
             Json::Obj(pairs) => pairs.iter().find_map(|(k, v)| {
                 if k == name {
@@ -136,7 +136,7 @@ fn field_str(raw: &str, name: &str) -> Option<String> {
             _ => None,
         }
     }
-    find(&dc_benches::schema::parse_json(raw).ok()?, name)
+    find(&parse_json(raw).ok()?, name)
 }
 
 /// The byte-exact `"output":{…}` object of a status response.
