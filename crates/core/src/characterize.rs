@@ -380,6 +380,14 @@ mod tests {
         let ipc =
             get(PerfEvent::InstructionsRetired) as f64 / get(PerfEvent::UnhaltedCycles) as f64;
         assert!((ipc - m.ipc).abs() < 1e-9);
+        // The whole dump is every event once, in `PerfEvent::all()`
+        // order, each read off the entry's counter block.
+        let counts = c.raw_counts(BenchmarkId::Grep);
+        let expected: Vec<(PerfEvent, u64)> = PerfEvent::all()
+            .iter()
+            .map(|&e| (e, e.extract(&counts)))
+            .collect();
+        assert_eq!(events, expected);
     }
 
     #[test]
