@@ -7,8 +7,7 @@
 
 use dc_mapreduce::engine::{run_job, JobConfig, JobError, JobStats};
 
-/// Pure kernel: sort records by their key (used for verification and for
-/// probe-based profiling).
+/// Pure kernel: sort records by their key.
 pub fn sort_records(mut records: Vec<(String, String)>) -> Vec<(String, String)> {
     records.sort_by(|a, b| a.0.cmp(&b.0));
     records

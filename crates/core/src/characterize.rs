@@ -4,7 +4,7 @@
 //! the instruction stream, run it through the Westmere-like out-of-order
 //! core after a warm-up ramp (the paper performs "a ramp-up period for
 //! each application, and then start\[s\] collecting"), read the ~20 events
-//! through the PMU layer, and derive the per-figure metrics.
+//! off the simulated counter block, and derive the per-figure metrics.
 //!
 //! # Parallelism and caching
 //!
@@ -26,7 +26,7 @@ use crate::profiles::profile;
 use crate::registry::BenchmarkId;
 use dc_cpu::{core::SimOptions, Chip, Core, CpuConfig, PerfCounts};
 use dc_obs::{Recorder, Value};
-use dc_perfmon::{msr, IntervalSeries, Metrics, PerfEvent};
+use dc_perfmon::{IntervalSeries, Metrics, PerfEvent};
 use dc_trace::SyntheticTrace;
 
 /// Characterization harness: machine config + measurement window.
@@ -177,14 +177,16 @@ impl Characterizer {
         Metrics::from_counts(id.name(), &self.simulate(id))
     }
 
-    /// Characterize one entry and also return the raw PMU event dump
-    /// (the `perf stat`-shaped view).
+    /// Characterize one entry and also return the raw event dump (the
+    /// `perf stat`-shaped view): every [`PerfEvent::all`] event in order,
+    /// each read off the entry's counter block.
     pub fn run_with_events(&self, id: BenchmarkId) -> (Metrics, Vec<(PerfEvent, u64)>) {
         let counts = self.counts(id);
-        (
-            Metrics::from_counts(id.name(), &counts),
-            msr::collect_all(&counts),
-        )
+        let events = PerfEvent::all()
+            .iter()
+            .map(|&e| (e, e.extract(&counts)))
+            .collect();
+        (Metrics::from_counts(id.name(), &counts), events)
     }
 
     /// Raw counter block for one entry (for debugging/calibration).

@@ -6,10 +6,9 @@
 //! `dc-cpu` turns these causes into the paper's counters mechanistically.
 //!
 //! Calibration provenance:
-//! * the eleven data-analysis profiles are cross-checked against probe
-//!   measurements of the real implementations in `dc-analytics`
-//!   (op mixes, branch bias, page footprints) and against Table I's
-//!   per-workload instruction volumes;
+//! * the eleven data-analysis profiles are calibrated against the
+//!   paper's own figures (Figures 3-12); no measurement of the real
+//!   implementations in `dc-analytics` feeds them;
 //! * service/SPEC profiles encode the well-documented properties of
 //!   those stacks (multi-MB instruction footprints of JVM/C++ servers,
 //!   heap-object data locality, >40 % kernel time under network load) —

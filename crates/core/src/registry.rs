@@ -1,6 +1,5 @@
 //! The benchmark registry: every entry on the paper's figure x-axes.
 
-use dc_analytics::Workload;
 use std::fmt;
 
 /// Suite taxonomy used throughout the paper's analysis.
@@ -184,32 +183,6 @@ impl BenchmarkId {
             | HpccStream => Suite::Hpcc,
         }
     }
-
-    /// Whether the paper classifies this entry as a *service* workload
-    /// (the four CloudSuite services plus SPECweb).
-    pub fn is_service(&self) -> bool {
-        BenchmarkId::services().contains(self)
-    }
-
-    /// The corresponding real analytics workload, for data-analysis
-    /// entries.
-    pub fn analytics_workload(&self) -> Option<Workload> {
-        use BenchmarkId::*;
-        Some(match self {
-            NaiveBayes => Workload::NaiveBayes,
-            Svm => Workload::Svm,
-            Grep => Workload::Grep,
-            WordCount => Workload::WordCount,
-            KMeans => Workload::KMeans,
-            FuzzyKMeans => Workload::FuzzyKMeans,
-            PageRank => Workload::PageRank,
-            Sort => Workload::Sort,
-            HiveBench => Workload::HiveBench,
-            Ibcf => Workload::Ibcf,
-            Hmm => Workload::Hmm,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for BenchmarkId {
@@ -238,7 +211,6 @@ mod tests {
         assert_eq!(BenchmarkId::data_analysis().len(), 11);
         for id in BenchmarkId::data_analysis() {
             assert_eq!(id.suite(), Suite::DataAnalysis);
-            assert!(id.analytics_workload().is_some());
         }
     }
 
@@ -248,10 +220,6 @@ mod tests {
         assert_eq!(services.len(), 5);
         assert!(services.contains(&BenchmarkId::SpecWeb));
         assert!(!services.contains(&BenchmarkId::SoftwareTesting));
-        for s in services {
-            assert!(s.is_service());
-        }
-        assert!(!BenchmarkId::Sort.is_service());
     }
 
     #[test]
@@ -259,7 +227,6 @@ mod tests {
         assert_eq!(BenchmarkId::hpcc().len(), 7);
         for id in BenchmarkId::hpcc() {
             assert_eq!(id.suite(), Suite::Hpcc);
-            assert!(id.analytics_workload().is_none());
         }
     }
 

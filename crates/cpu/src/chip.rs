@@ -11,7 +11,7 @@
 //!
 //! ## One loop
 //!
-//! [`Lockstep`] is the only loop that steps a [`Pipeline`]. A solo
+//! `Lockstep` is the only loop that steps a `Pipeline`. A solo
 //! [`Core`] is a one-core chip, a co-run is an N-core chip, an interval
 //! series ([`Chip::run_intervals`]) is a run with a recorder per core,
 //! and each lane of a sweep curve ([`crate::shared_trace`]) is a
@@ -23,14 +23,14 @@
 //!
 //! Cores advance in **lockstep on a single global cycle counter**:
 //! every cycle, each still-running core takes exactly one
-//! [`Pipeline::step`], always in ascending core order. The shared L3
+//! `Pipeline::step`, always in ascending core order. The shared L3
 //! therefore observes a deterministic interleave of requests — the same
 //! configs, traces and seeds produce bit-identical counters on every
 //! run, on any machine, at any thread count. There is no wall-clock or
 //! scheduler dependence anywhere in the model.
 //!
 //! When no running core made progress, the clock jumps to the earliest
-//! cycle at which any of them could act ([`Pipeline::next_event`]),
+//! cycle at which any of them could act (`Pipeline::next_event`),
 //! fenced at each core's next interval boundary; no core touches the
 //! shared level during the skipped span, so every counter is
 //! bit-identical to stepping each cycle.

@@ -390,7 +390,7 @@ impl CpuConfig {
     ///
     /// Two configs hash equal iff every geometry/latency parameter is
     /// equal, and the value is stable across runs of the same build
-    /// ([`DefaultHasher::new`] uses fixed keys) — the property the
+    /// (`DefaultHasher::new` uses fixed keys) — the property the
     /// characterization result cache keys on.
     pub fn stable_hash(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;

@@ -28,9 +28,9 @@
 //!
 //! The backend windows are structure-of-arrays rings, not collections
 //! of per-op structs: the ROB is a fixed-capacity ring of parallel
-//! completion-cycle and flag arrays ([`RobRing`]), and the RS / load
+//! completion-cycle and flag arrays (`RobRing`), and the RS / load
 //! buffer / store buffer are counting wakeup structures keyed on the
-//! cycle an entry frees ([`WakeupWheel`]) — the model never needs to
+//! cycle an entry frees (`WakeupWheel`) — the model never needs to
 //! know *which* entry frees, only *how many* are still held at a given
 //! cycle, so a heap of release times collapses into occupancy counts
 //! bucketed by cycle. No allocation happens per op or per cycle.
@@ -39,7 +39,7 @@
 //!
 //! Most simulated cycles do nothing: rename is blocked on one cause,
 //! fetch is waiting out a miss, and the ROB head has not completed.
-//! After every un-finished step, [`Pipeline::next_event`] computes the
+//! After every un-finished step, `Pipeline::next_event` computes the
 //! earliest future cycle at which *any* stage could act; the lockstep
 //! loop ([`crate::chip`]) jumps the global clock there, bulk-charging
 //! the skipped cycles to the same stall counter the stepped loop would

@@ -1,7 +1,7 @@
 //! Performance-counter state: every event the paper reads, in raw form.
 //!
-//! `dc-perfmon` layers the MSR/event-select interface and derived metrics
-//! on top; this struct is what the core fills in during simulation.
+//! `dc-perfmon` layers the event catalogue and derived metrics on top;
+//! this struct is what the core fills in during simulation.
 
 /// Raw event counts collected by one simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

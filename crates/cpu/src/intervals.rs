@@ -6,7 +6,7 @@
 //! shuffle, reduce; scan vs. aggregate) with distinct micro-
 //! architectural behavior, the thing `perf stat -I <ms>` shows on real
 //! hardware. This module is the simulated equivalent: while the chip's
-//! lockstep loop steps a [`Pipeline`], an [`IntervalRecorder`] snapshots
+//! lockstep loop steps a `Pipeline`, an `IntervalRecorder` snapshots
 //! the counter block every `every_cycles` simulated cycles and keeps the
 //! per-interval *deltas*. ("Sampled" elsewhere in the crate means SMARTS
 //! sampling, [`crate::core::SamplePlan`]; the two never mix.)
@@ -26,8 +26,6 @@
 //! relative to the warm-up boundary** — the measured window's own
 //! clock, never wall time — so the series is deterministic for a given
 //! (trace, config, window, seed).
-//!
-//! [`Pipeline`]: crate::core::Pipeline
 
 use crate::branch::BranchPredictor;
 use crate::cache::PrivateHierarchy;

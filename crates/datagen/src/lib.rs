@@ -6,8 +6,7 @@
 //! algorithms in `dc-analytics` exercise the same code paths:
 //!
 //! * [`text`] — Zipf-distributed word corpora (Sort/WordCount/Grep
-//!   documents, Naive Bayes labeled text) and HTML pages (SVM/HMM
-//!   inputs);
+//!   documents, Naive Bayes labeled text);
 //! * [`vectors`] — Gaussian-mixture feature vectors (K-means /
 //!   Fuzzy K-means);
 //! * [`ratings`] — user-item rating triples (IBCF);
@@ -55,12 +54,6 @@ impl Scale {
         Scale { bytes: 64 << 20 }
     }
 
-    /// The paper's input size for a given Table I row (GB → bytes);
-    /// used for bookkeeping/reporting, not for materialization.
-    pub fn paper_gb(gb: u64) -> Self {
-        Scale { bytes: gb << 30 }
-    }
-
     /// A custom byte size.
     pub fn bytes(bytes: u64) -> Self {
         Scale { bytes }
@@ -81,7 +74,6 @@ mod tests {
     fn scales_are_ordered() {
         assert!(Scale::tiny().bytes < Scale::small().bytes);
         assert!(Scale::small().bytes < Scale::medium().bytes);
-        assert_eq!(Scale::paper_gb(150).bytes, 150 << 30);
         assert_eq!(Scale::bytes(42).bytes, 42);
     }
 }

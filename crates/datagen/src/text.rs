@@ -1,4 +1,4 @@
-//! Text corpora: Zipf-worded documents, labeled documents, HTML pages.
+//! Text corpora: Zipf-worded documents and labeled documents.
 
 use crate::Scale;
 use rand::rngs::StdRng;
@@ -125,48 +125,6 @@ pub fn labeled_documents(
     docs
 }
 
-/// Generate synthetic HTML pages (SVM / HMM inputs in Table I are "html
-/// file"): title, paragraphs of Zipf text, and anchor tags.
-pub fn html_pages(seed: u64, scale: Scale) -> Vec<String> {
-    let vocab = Vocabulary::new(15_000, 1.05);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pages = Vec::new();
-    let mut bytes: u64 = 0;
-    let mut id = 0u64;
-    while bytes < scale.bytes {
-        let mut page = String::from("<html><head><title>");
-        for _ in 0..4 {
-            page.push_str(vocab.sample(&mut rng));
-            page.push(' ');
-        }
-        page.push_str("</title></head><body>");
-        let paragraphs = rng.gen_range(2..6);
-        for _ in 0..paragraphs {
-            page.push_str("<p>");
-            for _ in 0..rng.gen_range(20..80) {
-                page.push_str(vocab.sample(&mut rng));
-                page.push(' ');
-            }
-            page.push_str("</p>");
-        }
-        let links = rng.gen_range(1..8);
-        for _ in 0..links {
-            page.push_str(&format!(
-                "<a href=\"http://site{}.example/p{}\">{}</a>",
-                rng.gen_range(0..1000u32),
-                rng.gen_range(0..100_000u32),
-                vocab.sample(&mut rng)
-            ));
-        }
-        page.push_str("</body></html>");
-        bytes += page.len() as u64;
-        id += 1;
-        let _ = id;
-        pages.push(page);
-    }
-    pages
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,16 +174,5 @@ mod tests {
     #[should_panic]
     fn labeled_docs_require_classes() {
         labeled_documents(1, Scale::tiny(), 0, 10);
-    }
-
-    #[test]
-    fn html_pages_are_html() {
-        let pages = html_pages(2, Scale::bytes(16 << 10));
-        assert!(!pages.is_empty());
-        for p in &pages {
-            assert!(p.starts_with("<html>"));
-            assert!(p.ends_with("</body></html>"));
-        }
-        assert!(pages.iter().any(|p| p.contains("<a href=")));
     }
 }

@@ -27,7 +27,7 @@
 //!   attempt is launched, the first finisher's output is committed
 //!   exactly once, and the loser is condemned and counted
 //!   ([`JobStats::killed_attempts`]);
-//! * a seeded [`FaultPlan`](crate::faults::FaultPlan) can inject panics,
+//! * a seeded [`FaultPlan`] can inject panics,
 //!   slowdowns, and transient I/O errors per attempt —
 //!   deterministically, for reproducible chaos runs (see
 //!   [`run_job_with_faults`]).
@@ -103,18 +103,6 @@ impl Default for JobConfig {
 }
 
 impl JobConfig {
-    /// The per-node slot configuration from the paper's Section III
-    /// (24 map slots, 12 reduce slots), scaled down by `divisor` so it
-    /// is runnable on a workstation.
-    pub fn hadoop_node(divisor: usize) -> Self {
-        let d = divisor.max(1);
-        JobConfig {
-            map_slots: (24 / d).max(1),
-            reduce_slots: (12 / d).max(1),
-            ..JobConfig::default()
-        }
-    }
-
     fn effective_map_tasks(&self, inputs: usize) -> usize {
         let t = if self.map_tasks == 0 {
             self.map_slots.max(1) * 4
@@ -1198,16 +1186,6 @@ mod tests {
             reexecuted_bytes: 38,
         };
         assert_eq!(doubled, expected);
-    }
-
-    #[test]
-    fn hadoop_node_config_scales() {
-        let full = JobConfig::hadoop_node(1);
-        assert_eq!(full.map_slots, 24);
-        assert_eq!(full.reduce_slots, 12);
-        let quarter = JobConfig::hadoop_node(4);
-        assert_eq!(quarter.map_slots, 6);
-        assert_eq!(quarter.reduce_slots, 3);
     }
 
     #[test]

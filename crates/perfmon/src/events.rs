@@ -1,11 +1,9 @@
 //! The hardware-event catalogue.
 //!
-//! Each [`PerfEvent`] carries the Westmere event-select code and unit
-//! mask the paper programmed (Intel SDM Vol. 3 appendix; e.g.
-//! `INST_RETIRED.ANY_P` is event 0xC0 umask 0x01). The simulator does not
-//! decode these numbers — they document the mapping from the paper's
-//! methodology onto the [`dc_cpu::PerfCounts`] fields and let the `Pmu`
-//! present a faithful `perf`-like programming interface.
+//! Each [`PerfEvent`] variant is documented with the Westmere event the
+//! paper collected (Intel SDM Vol. 3 appendix, e.g. `INST_RETIRED.ANY_P`)
+//! and [`PerfEvent::extract`] maps it onto its [`dc_cpu::PerfCounts`]
+//! field.
 
 use dc_cpu::PerfCounts;
 
@@ -66,62 +64,6 @@ pub enum PerfEvent {
 }
 
 impl PerfEvent {
-    /// The Westmere event-select code (`IA32_PERFEVTSELx` bits 0-7).
-    pub fn event_code(self) -> u8 {
-        use PerfEvent::*;
-        match self {
-            InstructionsRetired | KernelInstructions | UserInstructions => 0xC0,
-            UnhaltedCycles => 0x3C,
-            L1iMisses | L1iReads => 0x80,
-            ItlbMisses | ItlbWalksCompleted => 0x85,
-            L1dMisses => 0x51,
-            DtlbMisses | DtlbWalksCompleted => 0x49,
-            L2References | L2Misses => 0x24,
-            L3References | L3Misses => 0x2E,
-            BranchesRetired => 0xC4,
-            BranchesMispredicted => 0xC5,
-            FetchStallCycles => 0x87,
-            RatStallCycles => 0xD2,
-            RsFullStallCycles
-            | RobFullStallCycles
-            | LoadBufferStallCycles
-            | StoreBufferStallCycles => 0xA2,
-            LoadsRetired | StoresRetired => 0x0B,
-        }
-    }
-
-    /// The unit mask (`IA32_PERFEVTSELx` bits 8-15).
-    pub fn umask(self) -> u8 {
-        use PerfEvent::*;
-        match self {
-            InstructionsRetired => 0x01,
-            KernelInstructions => 0x01, // + OS filter bit
-            UserInstructions => 0x01,   // + USR filter bit
-            UnhaltedCycles => 0x00,
-            L1iMisses => 0x02,
-            L1iReads => 0x01,
-            ItlbMisses => 0x01,
-            ItlbWalksCompleted => 0x02,
-            L1dMisses => 0x01,
-            DtlbMisses => 0x01,
-            DtlbWalksCompleted => 0x02,
-            L2References => 0xFF,
-            L2Misses => 0xAA,
-            L3References => 0x4F,
-            L3Misses => 0x41,
-            BranchesRetired => 0x00,
-            BranchesMispredicted => 0x00,
-            FetchStallCycles => 0x04,
-            RatStallCycles => 0x0F,
-            RsFullStallCycles => 0x04,
-            RobFullStallCycles => 0x10,
-            LoadBufferStallCycles => 0x02,
-            StoreBufferStallCycles => 0x08,
-            LoadsRetired => 0x01,
-            StoresRetired => 0x02,
-        }
-    }
-
     /// Extract this event's value from a simulated counter block.
     pub fn extract(self, c: &PerfCounts) -> u64 {
         use PerfEvent::*;
@@ -198,14 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn event_codes_are_stable() {
-        assert_eq!(PerfEvent::InstructionsRetired.event_code(), 0xC0);
-        assert_eq!(PerfEvent::UnhaltedCycles.event_code(), 0x3C);
-        assert_eq!(PerfEvent::L2References.event_code(), 0x24);
-        assert_eq!(PerfEvent::BranchesMispredicted.event_code(), 0xC5);
-    }
-
-    #[test]
     fn extract_pulls_matching_fields() {
         let c = PerfCounts {
             instructions: 7,
@@ -225,8 +159,6 @@ mod tests {
         let c = PerfCounts::default();
         for e in PerfEvent::all() {
             assert_eq!(e.extract(&c), 0);
-            let _ = e.event_code();
-            let _ = e.umask();
         }
     }
 }

@@ -136,14 +136,6 @@ impl JobState {
             JobState::Failed => "failed",
         }
     }
-
-    /// Whether the job can no longer change state.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobState::Done | JobState::Cancelled | JobState::Failed
-        )
-    }
 }
 
 struct JobStatus {

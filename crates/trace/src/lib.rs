@@ -19,11 +19,6 @@
 //! "2 % of memory accesses touch a 6 MiB region at random"), never effects
 //! (an IPC or a miss ratio is never written down anywhere).
 //!
-//! The [`record`] module provides lightweight probes that the real
-//! algorithm implementations in `dc-analytics` use to measure their own
-//! op mix and branch bias, which is how the analytics profiles were
-//! cross-checked.
-//!
 //! ```
 //! use dc_trace::{profile::WorkloadProfile, synth::SyntheticTrace};
 //!
@@ -42,8 +37,6 @@
 
 pub mod op;
 pub mod profile;
-pub mod record;
-pub mod reuse;
 pub mod rng;
 pub mod synth;
 
@@ -53,9 +46,8 @@ pub use synth::{SyntheticTrace, MAX_DEP_DIST};
 
 /// A source of micro-operations consumed by the CPU simulator.
 ///
-/// Implemented by [`synth::SyntheticTrace`] (profile-driven synthesis) and
-/// [`record::RecordedTrace`] (replay of ops captured from real kernels via
-/// [`record::Probe`]).
+/// Implemented for every `Iterator<Item = MicroOp>`; the simulator is fed
+/// by [`synth::SyntheticTrace`] (profile-driven synthesis).
 pub trait TraceSource {
     /// Produce the next micro-op, or `None` when the trace is exhausted.
     fn next_op(&mut self) -> Option<MicroOp>;
