@@ -397,6 +397,24 @@ mod tests {
         }
         let snap = snapshot_from_doc(&sample_doc()).expect("round-trips");
         assert_eq!(snap.render_text(), reg.snapshot().render_text());
+        // Not just the exposition: the decoded snapshot is the registry's
+        // own snapshot, field for field.
+        assert_eq!(snap, reg.snapshot());
+    }
+
+    #[test]
+    fn dashboard_block_is_pinned() {
+        // The whole block for `sample_doc()`, byte for byte: key column,
+        // sparkline, and every count/quantile column.
+        let expected = concat!(
+            "counters\n",
+            "  dc_server_requests_total{verb=\"submit\"}  12\n",
+            "gauges\n",
+            "  dc_pool_queue_depth                      3\n",
+            "histograms                                                    count  p50   p90   p99   max\n",
+            "  dc_server_queue_wait_us                  [@++             ]      5    7  4000  4000  4000\n",
+        );
+        assert_eq!(render(&sample_doc()).expect("renders"), expected);
     }
 
     #[test]
