@@ -3,7 +3,10 @@
 # src/**/*.rs that come before each file's first top-level `#[cfg(test)]`
 # (one in column 0, normally the `mod tests` gate; an indented one on a
 # single test-only method does not end the count, and a file with none
-# counts whole), then print one row per crate and the total.
+# counts whole), then print one row per crate and the total. A last
+# `tests` row counts every line of the integration tests (tests/*.rs and
+# crates/*/tests/*.rs) and stays out of the total, so code that moves
+# between src/ and a test file shows in the ledger.
 #
 #   ci/loc.sh            # run from the repository root
 set -eu
@@ -21,3 +24,5 @@ for dir in crates/*/; do
     total=$((total + n))
 done
 printf '%-14s %6d\n' total "$total"
+n=$(cat tests/*.rs crates/*/tests/*.rs | wc -l)
+printf '%-14s %6d\n' tests "$n"

@@ -209,7 +209,8 @@ impl Workload {
     }
 
     /// Execute the workload **for real** on the local MapReduce engine at
-    /// the given input scale, with a fixed seed.
+    /// the given input scale, with a fixed seed, under `cfg.faults` when
+    /// the config carries a plan.
     ///
     /// # Errors
     /// Fails when a task exhausts its attempts (see [`JobError`]); this
@@ -219,7 +220,8 @@ impl Workload {
         self.run_with_faults(scale, cfg, None)
     }
 
-    /// Like [`Workload::run`], but executing under a seeded [`FaultPlan`]:
+    /// Like [`Workload::run`], but executing under a seeded [`FaultPlan`]
+    /// (given here, it replaces `cfg.faults`; `None` keeps the config's):
     /// the chosen task attempts panic, stall, or fail with transient I/O
     /// errors, and the engine's Hadoop-style recovery (retries, backoff,
     /// speculation) must still deliver the exact fault-free output.
@@ -240,7 +242,9 @@ impl Workload {
     ) -> Result<WorkloadRun, JobError> {
         let seed = 0xDCBE ^ (*self as u64);
         let mut cfg = cfg.clone();
-        cfg.faults = faults.cloned();
+        if let Some(plan) = faults {
+            cfg.faults = Some(plan.clone());
+        }
         let cfg = &cfg;
         let (outputs, stats) = match self {
             Workload::Sort => {

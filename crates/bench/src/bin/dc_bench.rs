@@ -28,6 +28,7 @@ use dc_datagen::Scale;
 use dc_mapreduce::engine::JobConfig;
 use dc_obs::event::write_json_string;
 use dc_obs::{Recorder, Value};
+use dc_server::client::Client;
 use dc_store::json::{parse_json, Json};
 use dcbench::{cache, cluster_experiments, pool, sweep, Characterizer};
 use std::fmt::Write as _;
@@ -443,49 +444,20 @@ fn run_entries(quick: bool, only: Option<&str>) -> Vec<BenchEntry> {
 /// over a single connection, each followed to completion with `stream`
 /// (blocks until the job is done — no sleep-polling in the timed path).
 fn server_client(addr: std::net::SocketAddr, client: usize, rounds: usize) {
-    use std::io::{BufRead, BufReader, Write as _};
-    let stream = std::net::TcpStream::connect(addr).expect("connect dc-server");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut stream = stream;
-    let recv = |reader: &mut BufReader<std::net::TcpStream>| -> Json {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("daemon response");
-        assert!(!line.is_empty(), "daemon dropped the connection");
-        parse_json(&line).unwrap_or_else(|e| panic!("unparsable reply {line:?}: {e}"))
-    };
-    for round in 0..rounds {
-        let submit = format!(
-            "{{\"id\":\"bench-c{client}-r{round}\",\"verb\":\"submit\",\
-             \"job\":{{\"entries\":[\"Sort\",\"Grep\"],\"window\":\"quick\",\"seed\":704}}}}\n"
-        );
-        stream.write_all(submit.as_bytes()).expect("send submit");
-        stream.flush().expect("flush submit");
-        let accepted = recv(&mut reader);
-        let job = match (
-            accepted.get("ok"),
-            accepted.get("result").and_then(|r| r.get("job")),
-        ) {
-            (Some(Json::Bool(true)), Some(Json::Str(job))) => job.clone(),
-            _ => panic!("submit rejected: {accepted:?}"),
+    let mut conn = Client::connect(addr, &format!("bench-c{client}-")).expect("connect dc-server");
+    for _ in 0..rounds {
+        let accepted = conn
+            .submit("{\"entries\":[\"Sort\",\"Grep\"],\"window\":\"quick\",\"seed\":704}")
+            .expect("submit reply");
+        let job = match accepted.result_str("job") {
+            Some(job) if accepted.is_ok() => job,
+            _ => panic!("submit rejected: {}", accepted.raw),
         };
-        let mut follow =
-            format!("{{\"id\":\"bench-c{client}-r{round}-f\",\"verb\":\"stream\",\"job\":");
-        write_json_string(&mut follow, &job);
-        follow.push_str("}\n");
-        stream.write_all(follow.as_bytes()).expect("send stream");
-        stream.flush().expect("flush stream");
-        // Event frames until the final response, the one line with `ok`.
-        let last = loop {
-            let line = recv(&mut reader);
-            if line.get("ok").is_some() {
-                break line;
-            }
-        };
-        let state = last.get("result").and_then(|r| r.get("state"));
+        let last = conn.stream(job, |_| {}).expect("stream reply");
         assert!(
-            last.get("ok") == Some(&Json::Bool(true))
-                && matches!(state, Some(Json::Str(s)) if s == "done"),
-            "job did not finish cleanly: {last:?}"
+            last.is_ok() && last.result_str("state") == Some("done"),
+            "job did not finish cleanly: {}",
+            last.raw
         );
     }
 }

@@ -5,7 +5,9 @@
 //! * `dc-bench` — times every distinct hot path (characterization
 //!   matrix, engine, cluster model, chip co-run, sweeps, store,
 //!   subsetting, daemon) and gates the run against
-//!   `BENCH_baseline.json`;
+//!   `BENCH_baseline.json`; its `server_throughput` clients talk to the
+//!   in-process daemon through `dc_server::client`, the workspace's one
+//!   protocol client;
 //! * `obs-schema-check` — validates `dc-obs` JSONL artifacts against
 //!   [`schema`] and metrics expositions against [`metrics_text`];
 //! * `sampled-validation` — holds SMARTS sampled simulation to its

@@ -34,7 +34,7 @@
 //! * rendered floats go through Rust's shortest-round-trip `Display`
 //!   (JSON) or fixed-precision formatting (text), both deterministic.
 
-use dc_obs::event::push_f64;
+use dc_obs::event::{push_f64, write_json_string};
 use dc_perfmon::Metrics;
 use std::fmt::Write as _;
 
@@ -691,7 +691,7 @@ impl Subset {
             if i > 0 {
                 out.push(',');
             }
-            dc_store::json::write_json_string(&mut out, label);
+            write_json_string(&mut out, label);
         }
         out.push_str("],\"metrics\":[");
         for (i, (name, _)) in metric_columns().iter().enumerate() {
@@ -733,13 +733,13 @@ impl Subset {
                 out.push(',');
             }
             out.push_str("{\"medoid\":");
-            dc_store::json::write_json_string(&mut out, &self.labels[c.medoid]);
+            write_json_string(&mut out, &self.labels[c.medoid]);
             out.push_str(",\"members\":[");
             for (j, &m) in c.members.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                dc_store::json::write_json_string(&mut out, &self.labels[m]);
+                write_json_string(&mut out, &self.labels[m]);
             }
             out.push_str("]}");
         }
@@ -748,7 +748,7 @@ impl Subset {
             if i > 0 {
                 out.push(',');
             }
-            dc_store::json::write_json_string(&mut out, name);
+            write_json_string(&mut out, name);
         }
         out.push_str("]}");
         out

@@ -59,9 +59,6 @@ pub struct JobConfig {
     pub map_tasks: usize,
     /// Number of reduce tasks (partitions); 0 = `reduce_slots`.
     pub reduce_tasks: usize,
-    /// In-memory sort buffer per map task; output beyond this spills in
-    /// additional passes (Hadoop's `io.sort.mb`).
-    pub sort_buffer_bytes: usize,
     /// Attempts per task before the job fails (Hadoop's
     /// `mapred.map.max.attempts` / `mapred.reduce.max.attempts`).
     pub max_attempts: u32,
@@ -91,7 +88,6 @@ impl Default for JobConfig {
             reduce_slots: 2,
             map_tasks: 0,
             reduce_tasks: 0,
-            sort_buffer_bytes: 4 << 20,
             max_attempts: 4,
             retry_backoff_ms: 1,
             retry_backoff_cap_ms: 50,

@@ -30,11 +30,6 @@
 //! locking operation — the returned [`Counter`]/[`Gauge`]/[`Histogram`]
 //! handles are `Arc`s onto atomic cells, so the hot path is a relaxed
 //! atomic RMW (plus one load of the registry-wide enabled flag).
-//!
-//! [`Histogram`] merge is lossless: bucket counts, count and sum add,
-//! min/max combine — `merge(a, b)` is indistinguishable from having fed
-//! both observation streams into one histogram, which is what lets
-//! per-worker shards be combined without bias.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -423,54 +418,6 @@ impl HistogramSnapshot {
     pub fn p99(&self) -> u64 {
         self.quantile_upper(99, 100)
     }
-
-    /// Lossless merge: equivalent to having fed both observation
-    /// streams into one histogram.
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        let count = self.count + other.count;
-        let mut buckets = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (
-            self.buckets.iter().peekable(),
-            other.buckets.iter().peekable(),
-        );
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(ua, na)), Some(&&(ub, nb))) => {
-                    if ua == ub {
-                        buckets.push((ua, na + nb));
-                        a.next();
-                        b.next();
-                    } else if ua < ub {
-                        buckets.push((ua, na));
-                        a.next();
-                    } else {
-                        buckets.push((ub, nb));
-                        b.next();
-                    }
-                }
-                (Some(&&x), None) => {
-                    buckets.push(x);
-                    a.next();
-                }
-                (None, Some(&&x)) => {
-                    buckets.push(x);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        HistogramSnapshot {
-            count,
-            sum: self.sum.saturating_add(other.sum),
-            min: match (self.count, other.count) {
-                (0, _) => other.min,
-                (_, 0) => self.min,
-                _ => self.min.min(other.min),
-            },
-            max: self.max.max(other.max),
-            buckets,
-        }
-    }
 }
 
 /// The frozen value of one metric.
@@ -543,65 +490,6 @@ impl MetricsSnapshot {
     /// Look up a metric by canonical key (`name` or `name{k="v"}`).
     pub fn get(&self, key: &str) -> Option<&MetricSnapshot> {
         self.metrics.iter().find(|m| m.key() == key)
-    }
-
-    /// Lossless merge with another snapshot (per-worker shards →
-    /// process view): counters and gauges add, histograms merge,
-    /// metrics present on one side pass through.
-    pub fn merge(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = Vec::with_capacity(self.metrics.len() + other.metrics.len());
-        let (mut a, mut b) = (
-            self.metrics.iter().peekable(),
-            other.metrics.iter().peekable(),
-        );
-        let ord = |m: &MetricSnapshot, n: &MetricSnapshot| {
-            (m.name.as_str(), &m.labels).cmp(&(n.name.as_str(), &n.labels))
-        };
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&x), Some(&y)) => match ord(x, y) {
-                    std::cmp::Ordering::Less => {
-                        out.push(x.clone());
-                        a.next();
-                    }
-                    std::cmp::Ordering::Greater => {
-                        out.push(y.clone());
-                        b.next();
-                    }
-                    std::cmp::Ordering::Equal => {
-                        let value = match (&x.value, &y.value) {
-                            (MetricValue::Counter(u), MetricValue::Counter(v)) => {
-                                MetricValue::Counter(u + v)
-                            }
-                            (MetricValue::Gauge(u), MetricValue::Gauge(v)) => {
-                                MetricValue::Gauge(u + v)
-                            }
-                            (MetricValue::Histogram(u), MetricValue::Histogram(v)) => {
-                                MetricValue::Histogram(u.merge(v))
-                            }
-                            _ => panic!("metric {} registered with two different types", x.key()),
-                        };
-                        out.push(MetricSnapshot {
-                            name: x.name.clone(),
-                            labels: x.labels.clone(),
-                            value,
-                        });
-                        a.next();
-                        b.next();
-                    }
-                },
-                (Some(&x), None) => {
-                    out.push(x.clone());
-                    a.next();
-                }
-                (None, Some(&y)) => {
-                    out.push(y.clone());
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        MetricsSnapshot { metrics: out }
     }
 
     /// Canonical JSON encoding (deterministic: sorted metrics, integer
@@ -1056,26 +944,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_matches_single_stream() {
-        let reg = Registry::new();
-        let (a, b, both) = (
-            reg.histogram("a", &[]),
-            reg.histogram("b", &[]),
-            reg.histogram("both", &[]),
-        );
-        for v in [1u64, 5, 9, 200] {
-            a.observe(v);
-            both.observe(v);
-        }
-        for v in [0u64, 5, 1 << 40] {
-            b.observe(v);
-            both.observe(v);
-        }
-        assert_eq!(a.snapshot().merge(&b.snapshot()), both.snapshot());
-    }
-
-    #[test]
-    fn snapshot_is_sorted_and_merges_losslessly() {
+    fn snapshot_is_sorted_by_name_then_labels() {
         let reg = Registry::new();
         reg.counter("z_total", &[]).add(2);
         reg.counter("a_total", &[("k", "2")]).add(1);
@@ -1086,20 +955,6 @@ mod tests {
             keys,
             vec!["a_total{k=\"1\"}", "a_total{k=\"2\"}", "z_total"]
         );
-
-        let other = Registry::new();
-        other.counter("z_total", &[]).add(3);
-        other.gauge("g", &[]).set(-4);
-        let merged = snap.merge(&other.snapshot());
-        assert_eq!(
-            merged.get("z_total").map(|m| &m.value),
-            Some(&MetricValue::Counter(5))
-        );
-        assert_eq!(
-            merged.get("g").map(|m| &m.value),
-            Some(&MetricValue::Gauge(-4))
-        );
-        assert_eq!(merged.metrics.len(), 4);
     }
 
     #[test]

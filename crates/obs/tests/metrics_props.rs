@@ -1,15 +1,12 @@
 //! Property-based laws of the metrics histogram.
 //!
-//! Three invariants carry the determinism contract:
+//! Two invariants carry the determinism contract:
 //!
-//! 1. **Merge is lossless**: `merge(a, b)` is indistinguishable from
-//!    feeding both observation streams into one histogram — the license
-//!    for combining per-worker shards without bias.
-//! 2. **Quantile bounds bracket the truth**: for any stream and any
+//! 1. **Quantile bounds bracket the truth**: for any stream and any
 //!    quantile, the exact rank-order statistic lies inside
 //!    `quantile_bounds`, and the reported upper bound never understates
 //!    it (it is the SLO-safe direction).
-//! 3. **Growth is monotone**: inserting another observation never
+//! 2. **Growth is monotone**: inserting another observation never
 //!    decreases count, sum, max, any bucket count, or any cumulative
 //!    bucket count.
 
@@ -46,19 +43,7 @@ fn value() -> MixedScale {
 }
 
 proptest! {
-    /// Law 1: merging two snapshots equals one histogram fed both
-    /// streams, field for field.
-    #[test]
-    fn merge_matches_single_stream(
-        a in proptest::collection::vec(value(), 0..200),
-        b in proptest::collection::vec(value(), 0..200),
-    ) {
-        let merged = hist_of(&a).merge(&hist_of(&b));
-        let both: Vec<u64> = a.iter().chain(b.iter()).copied().collect();
-        prop_assert_eq!(merged, hist_of(&both));
-    }
-
-    /// Law 2: the true rank statistic sits inside the reported bounds
+    /// Law 1: the true rank statistic sits inside the reported bounds
     /// for every standard quantile.
     #[test]
     fn quantile_bounds_bracket_true_quantile(
@@ -81,7 +66,7 @@ proptest! {
         prop_assert!(snap.quantile_upper(num, den) >= truth);
     }
 
-    /// Law 3: one more observation moves every aggregate the right way.
+    /// Law 2: one more observation moves every aggregate the right way.
     #[test]
     fn growth_is_monotone(
         values in proptest::collection::vec(value(), 0..200),

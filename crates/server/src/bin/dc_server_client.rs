@@ -38,19 +38,18 @@
 //!                          # byte-exact, to PATH
 //! ```
 
-use dc_store::json::{parse_json, Json};
+use dc_obs::metrics::{MetricValue, MetricsSnapshot};
+use dc_server::client::{Client, Reply};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{Read, Write};
 use std::process::ExitCode;
+use std::time::Duration;
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    next_id: u64,
+struct Session {
+    client: Client,
     vars: HashMap<String, String>,
-    /// Raw bytes of the last non-frame response line.
-    last: Option<String>,
+    /// The last reply that was not a stream frame.
+    last: Option<Reply>,
     events_out: Option<std::fs::File>,
 }
 
@@ -59,49 +58,27 @@ fn fail(line_no: usize, msg: &str) -> ! {
     std::process::exit(1);
 }
 
-impl Client {
-    fn send_raw(&mut self, line_no: usize, line: &str) {
-        if self
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .is_err()
-        {
-            fail(line_no, "connection closed while sending");
-        }
+/// The value of a wire operation, or the script fails at `line_no`.
+fn wire<T>(line_no: usize, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| fail(line_no, &e.to_string()))
+}
+
+impl Session {
+    /// Print a received reply and keep it as the last one.
+    fn keep(&mut self, reply: Reply) -> &Reply {
+        println!("{}", reply.raw);
+        self.last.insert(reply)
     }
 
-    fn read_line(&mut self, line_no: usize) -> String {
-        let mut buf = String::new();
-        match self.reader.read_line(&mut buf) {
-            Ok(0) => fail(line_no, "connection closed while awaiting a response"),
-            Ok(_) => {
-                let line = buf.trim_end_matches('\n').to_string();
-                println!("{line}");
-                line
-            }
-            Err(e) => fail(line_no, &format!("read failed: {e}")),
-        }
+    fn request(&mut self, line_no: usize, fields: &str) -> &Reply {
+        let reply = wire(line_no, self.client.request(fields));
+        self.keep(reply)
     }
 
-    fn request(&mut self, line_no: usize, verb_and_payload: &str) -> String {
-        let id = self.next_id;
-        self.next_id += 1;
-        let line = format!("{{\"id\":\"c{id}\",{verb_and_payload}}}");
-        self.send_raw(line_no, &line);
-        let response = self.read_line(line_no);
-        self.last = Some(response.clone());
-        response
-    }
-
-    fn last_doc(&self, line_no: usize) -> Json {
-        let Some(last) = &self.last else {
-            fail(line_no, "no response received yet");
-        };
-        match parse_json(last) {
-            Ok(doc) => doc,
-            Err(e) => fail(line_no, &format!("last response is not JSON: {e}")),
-        }
+    fn last(&self, line_no: usize) -> &Reply {
+        self.last
+            .as_ref()
+            .unwrap_or_else(|| fail(line_no, "no response received yet"))
     }
 
     fn subst(&self, line_no: usize, token: &str) -> String {
@@ -116,58 +93,13 @@ impl Client {
     }
 }
 
-/// `result.<field>` of a response document.
-fn result_field<'a>(doc: &'a Json, field: &str) -> Option<&'a Json> {
-    doc.get("result")?.get(field)
-}
-
-/// Extract the byte-exact rendering of `"output":{…}` from a raw
-/// response line: brace matching with JSON string/escape awareness, so
-/// braces inside strings cannot derail it.
-fn extract_output(raw: &str) -> Option<&str> {
-    let at = raw.find("\"output\":")?;
-    let start = at + "\"output\":".len();
-    let bytes = raw.as_bytes();
-    if bytes.get(start) != Some(&b'{') {
-        return None;
-    }
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, &b) in bytes[start..].iter().enumerate() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&raw[start..start + i + 1]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 /// Histogram field suffixes `expect-metric` accepts after the key.
 const HIST_FIELDS: [&str; 7] = ["count", "sum", "min", "max", "p50", "p90", "p99"];
 
-/// Look a metric up in the last `stats` response by canonical key
-/// (`name` or `name{k="v",…}`, labels sorted), with an optional
-/// histogram field suffix (`.p99` etc.). Counters and gauges read
-/// their `value` field.
-fn metric_value(doc: &Json, key: &str) -> Result<f64, String> {
+/// Look a metric up in a `stats` snapshot by canonical key (`name` or
+/// `name{k="v",…}`, labels sorted), with an optional histogram field
+/// suffix (`.p99` etc.). Counters and gauges take no suffix.
+fn metric_value(snap: &MetricsSnapshot, key: &str) -> Result<f64, String> {
     // Split a trailing `.field` off the key; metric names are
     // snake_case (no dots), so any dot after the last `}` (or at all,
     // for label-less keys) is a field separator.
@@ -175,52 +107,32 @@ fn metric_value(doc: &Json, key: &str) -> Result<f64, String> {
         Some((k, f)) if HIST_FIELDS.contains(&f) && !f.contains('}') => (k, Some(f)),
         _ => (key, None),
     };
-    let Some(Json::Arr(metrics)) = doc.get("result").and_then(|r| r.get("metrics")) else {
-        return Err("last response is not a stats snapshot".into());
+    let m = snap.get(key).ok_or("no such metric in the snapshot")?;
+    let value = match (&m.value, field) {
+        (MetricValue::Counter(v), None) => *v as f64,
+        (MetricValue::Gauge(v), None) => *v as f64,
+        (MetricValue::Histogram(h), Some(field)) => {
+            (match field {
+                "count" => h.count,
+                "sum" => h.sum,
+                "min" => h.min,
+                "max" => h.max,
+                "p50" => h.p50(),
+                "p90" => h.p90(),
+                _ => h.p99(),
+            }) as f64
+        }
+        _ => {
+            let field = field.unwrap_or("value");
+            return Err(format!("metric has no numeric field {field:?}"));
+        }
     };
-    for m in metrics {
-        let Some(Json::Str(name)) = m.get("name") else {
-            continue;
-        };
-        let mut canonical = name.clone();
-        if let Some(Json::Obj(labels)) = m.get("labels") {
-            if !labels.is_empty() {
-                canonical.push('{');
-                for (i, (k, v)) in labels.iter().enumerate() {
-                    if i > 0 {
-                        canonical.push(',');
-                    }
-                    let Json::Str(v) = v else { continue };
-                    canonical.push_str(&format!("{k}=\"{v}\""));
-                }
-                canonical.push('}');
-            }
-        }
-        if canonical != key {
-            continue;
-        }
-        let field = field.unwrap_or("value");
-        return match m.get(field) {
-            Some(Json::Num(n)) => Ok(*n),
-            _ => Err(format!("metric has no numeric field {field:?}")),
-        };
-    }
-    Err("no such metric in the snapshot".into())
+    Ok(value)
 }
 
-/// The inner `dc-obs` event of a stream frame `{"id":…,"event":{…}}`,
-/// byte-exact (the frame renderer appends the event last, so stripping
-/// the final `}` recovers it).
-fn extract_event(raw: &str) -> Option<&str> {
-    let at = raw.find("\"event\":")?;
-    let inner = &raw[at + "\"event\":".len()..raw.len().checked_sub(1)?];
-    inner.starts_with('{').then_some(inner)
-}
+const AWAIT_INTERVAL: Duration = Duration::from_millis(25);
 
-const AWAIT_POLLS: usize = 4000;
-const AWAIT_INTERVAL_MS: u64 = 25;
-
-fn run_script(client: &mut Client, script: &str) {
+fn run_script(session: &mut Session, script: &str) {
     for (idx, raw_line) in script.lines().enumerate() {
         let line_no = idx + 1;
         let line = raw_line.trim();
@@ -236,138 +148,93 @@ fn run_script(client: &mut Client, script: &str) {
                 let (var, job) = rest
                     .split_once(char::is_whitespace)
                     .unwrap_or_else(|| fail(line_no, "usage: submit VAR {job json}"));
-                let response = client.request(
-                    line_no,
-                    &format!("\"verb\":\"submit\",\"job\":{}", job.trim()),
-                );
-                if let Ok(doc) = parse_json(&response) {
-                    if let Some(Json::Str(name)) = result_field(&doc, "job") {
-                        client.vars.insert(var.to_string(), name.clone());
-                    }
+                let reply = wire(line_no, session.client.submit(job.trim()));
+                if let Some(name) = session.keep(reply).result_str("job") {
+                    let name = name.to_string();
+                    session.vars.insert(var.to_string(), name);
                 }
             }
             "status" | "cancel" => {
-                let job = client.subst(line_no, rest);
-                client.request(line_no, &format!("\"verb\":\"{cmd}\",\"job\":\"{job}\""));
+                let job = session.subst(line_no, rest);
+                session.request(line_no, &format!("\"verb\":\"{cmd}\",\"job\":\"{job}\""));
             }
             "await" => {
-                let job = client.subst(line_no, rest);
-                let mut done = false;
-                for _ in 0..AWAIT_POLLS {
-                    let response =
-                        client.request(line_no, &format!("\"verb\":\"status\",\"job\":\"{job}\""));
-                    let doc = parse_json(&response)
-                        .unwrap_or_else(|e| fail(line_no, &format!("bad response: {e}")));
-                    match result_field(&doc, "state") {
-                        Some(Json::Str(s)) if s == "done" || s == "cancelled" || s == "failed" => {
-                            done = true;
-                            break;
-                        }
-                        Some(Json::Str(_)) => {
-                            std::thread::sleep(std::time::Duration::from_millis(AWAIT_INTERVAL_MS))
-                        }
-                        _ => fail(line_no, &format!("await {job}: no state in {response}")),
-                    }
-                }
-                if !done {
-                    fail(
-                        line_no,
-                        &format!("await {job}: not terminal after {AWAIT_POLLS} polls"),
-                    );
-                }
+                let job = session.subst(line_no, rest);
+                let reply = session
+                    .client
+                    .await_terminal(&job, AWAIT_INTERVAL, |r| println!("{}", r.raw));
+                session.last = Some(wire(line_no, reply));
             }
             "stream" => {
-                let job = client.subst(line_no, rest);
-                let id = client.next_id;
-                client.next_id += 1;
-                client.send_raw(
-                    line_no,
-                    &format!("{{\"id\":\"c{id}\",\"verb\":\"stream\",\"job\":\"{job}\"}}"),
-                );
-                loop {
-                    let line = client.read_line(line_no);
-                    if let Some(event) = extract_event(&line) {
-                        if let Some(out) = &mut client.events_out {
-                            let _ = writeln!(out, "{event}");
-                        }
-                        continue;
+                let job = session.subst(line_no, rest);
+                let events_out = &mut session.events_out;
+                let reply = session.client.stream(&job, |frame| {
+                    println!("{}", frame.raw);
+                    if let (Some(out), Some(event)) = (events_out.as_mut(), frame.event()) {
+                        let _ = writeln!(out, "{event}");
                     }
-                    client.last = Some(line);
-                    break;
-                }
+                });
+                let reply = wire(line_no, reply);
+                session.keep(reply);
             }
-            "stats" => {
-                client.request(line_no, "\"verb\":\"stats\"");
-            }
-            "shutdown" => {
-                client.request(line_no, "\"verb\":\"shutdown\"");
+            "stats" | "shutdown" => {
+                session.request(line_no, &format!("\"verb\":\"{cmd}\""));
             }
             "send" => {
-                client.send_raw(line_no, rest);
-                let response = client.read_line(line_no);
-                client.last = Some(response);
+                wire(line_no, session.client.send_line(rest));
+                let reply = wire(line_no, session.client.recv());
+                session.keep(reply);
             }
             "send-bytes" => {
                 let n: usize = rest
                     .parse()
                     .unwrap_or_else(|_| fail(line_no, "usage: send-bytes N"));
-                let garbage = vec![b'x'; n];
-                if client
-                    .writer
-                    .write_all(&garbage)
-                    .and_then(|()| client.writer.write_all(b"\n"))
-                    .is_err()
-                {
-                    fail(line_no, "connection closed while sending");
-                }
-                let response = client.read_line(line_no);
-                client.last = Some(response);
+                wire(line_no, session.client.send_line(&"x".repeat(n)));
+                let reply = wire(line_no, session.client.recv());
+                session.keep(reply);
             }
             "sleep-ms" => {
                 let ms: u64 = rest
                     .parse()
                     .unwrap_or_else(|_| fail(line_no, "usage: sleep-ms N"));
-                std::thread::sleep(std::time::Duration::from_millis(ms));
+                std::thread::sleep(Duration::from_millis(ms));
             }
             "expect-ok" => {
-                let doc = client.last_doc(line_no);
-                if doc.get("ok") != Some(&Json::Bool(true)) {
-                    fail(line_no, &format!("expected ok, got {:?}", client.last));
+                let last = session.last(line_no);
+                if !last.is_ok() {
+                    fail(line_no, &format!("expected ok, got {:?}", last.raw));
                 }
             }
             "expect-error" => {
-                let doc = client.last_doc(line_no);
-                let code = doc.get("error").and_then(|e| e.get("code"));
-                match code {
-                    Some(Json::Str(code)) if code == rest => {}
-                    _ => fail(
+                let last = session.last(line_no);
+                if last.error_code() != Some(rest) {
+                    fail(
                         line_no,
-                        &format!("expected error code {rest:?}, got {:?}", client.last),
-                    ),
+                        &format!("expected error code {rest:?}, got {:?}", last.raw),
+                    );
                 }
             }
             "expect-state" => {
-                let doc = client.last_doc(line_no);
-                match result_field(&doc, "state") {
-                    Some(Json::Str(s)) if s == rest => {}
-                    _ => fail(
+                let last = session.last(line_no);
+                if last.result_str("state") != Some(rest) {
+                    fail(
                         line_no,
-                        &format!("expected state {rest:?}, got {:?}", client.last),
-                    ),
+                        &format!("expected state {rest:?}, got {:?}", last.raw),
+                    );
                 }
             }
             "expect-sims" | "expect-sims-gt" => {
                 let want: f64 = rest
                     .parse()
                     .unwrap_or_else(|_| fail(line_no, "usage: expect-sims N"));
-                let doc = client.last_doc(line_no);
-                let got = match result_field(&doc, "simulations") {
-                    Some(Json::Num(n)) => *n,
-                    _ => fail(
+                let last = session.last(line_no);
+                let Some(got) = last.simulations() else {
+                    fail(
                         line_no,
-                        &format!("no simulations in last response {:?}", client.last),
-                    ),
+                        &format!("no simulations in last response {:?}", last.raw),
+                    );
                 };
+                let got = got as f64;
                 let pass = if cmd == "expect-sims" {
                     got == want
                 } else {
@@ -386,8 +253,10 @@ fn run_script(client: &mut Client, script: &str) {
                 let want: f64 = want
                     .parse()
                     .unwrap_or_else(|_| fail(line_no, "expect-metric: N must be a number"));
-                let doc = client.last_doc(line_no);
-                let got = metric_value(&doc, key)
+                let got = session
+                    .last(line_no)
+                    .metrics()
+                    .and_then(|snap| metric_value(&snap, key))
                     .unwrap_or_else(|e| fail(line_no, &format!("expect-metric {key}: {e}")));
                 let pass = match op {
                     "==" => got == want,
@@ -406,11 +275,9 @@ fn run_script(client: &mut Client, script: &str) {
                 }
             }
             "save-output" => {
-                let Some(last) = client.last.clone() else {
-                    fail(line_no, "no response to save");
-                };
-                let Some(output) = extract_output(&last) else {
-                    fail(line_no, &format!("no output object in {last:?}"));
+                let last = session.last(line_no);
+                let Some(output) = last.output() else {
+                    fail(line_no, &format!("no output object in {:?}", last.raw));
                 };
                 if let Err(e) = std::fs::write(rest, format!("{output}\n")) {
                     fail(line_no, &format!("save-output {rest}: {e}"));
@@ -453,13 +320,8 @@ fn main() -> ExitCode {
             buf
         }
     };
-    let stream =
-        TcpStream::connect(&addr).unwrap_or_else(|e| fail(0, &format!("connect {addr}: {e}")));
-    let reader = BufReader::new(
-        stream
-            .try_clone()
-            .unwrap_or_else(|e| fail(0, &format!("clone stream: {e}"))),
-    );
+    let client =
+        Client::connect(&addr, "c").unwrap_or_else(|e| fail(0, &format!("connect {addr}: {e}")));
     let events_out = events_path.map(|path| {
         std::fs::OpenOptions::new()
             .create(true)
@@ -467,14 +329,12 @@ fn main() -> ExitCode {
             .open(&path)
             .unwrap_or_else(|e| fail(0, &format!("--events {path}: {e}")))
     });
-    let mut client = Client {
-        reader,
-        writer: stream,
-        next_id: 1,
+    let mut session = Session {
+        client,
         vars: HashMap::new(),
         last: None,
         events_out,
     };
-    run_script(&mut client, &script);
+    run_script(&mut session, &script);
     ExitCode::SUCCESS
 }

@@ -5,8 +5,8 @@
 //! dc-top --connect HOST:PORT --text   # raw Prometheus-style exposition
 //! ```
 //!
-//! Each sample sends one `stats` request, parses the snapshot and
-//! renders three aligned tables — counters, gauges, histograms — with a
+//! Each sample sends one `stats` request, decodes the reply into the
+//! registry's [`MetricsSnapshot`] (`dc_server::client`) and renders three aligned tables — counters, gauges, histograms — with a
 //! log2-bucket sparkline per histogram (the same width-compression
 //! idiom `dc-obs`'s Gantt renderer uses for timelines). `--once` (the
 //! default) prints a single sample and exits, which is what CI
@@ -22,13 +22,8 @@
 //! registry's own text exposition — the bytes `obs-schema-check
 //! --metrics` validates in CI.
 
-use dc_obs::metrics::{
-    bucket_index, sparkline, HistogramSnapshot, MetricSnapshot, MetricValue, MetricsSnapshot,
-    BUCKETS,
-};
-use dc_store::json::{parse_json, Json};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use dc_obs::metrics::{bucket_index, sparkline, MetricValue, MetricsSnapshot, BUCKETS};
+use dc_server::client::Client;
 use std::process::ExitCode;
 
 /// Sparkline column budget per histogram row.
@@ -39,144 +34,25 @@ fn die(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Render a JSON number the way the registry produced it: integer
-/// counters/levels print without a trailing `.0`.
-fn fmt_num(n: f64) -> String {
-    if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
-}
-
-/// Canonical key of one snapshot entry (`name` or `name{k="v",…}` —
-/// labels already arrive sorted).
-fn canonical_key(m: &Json) -> Option<String> {
-    let Some(Json::Str(name)) = m.get("name") else {
-        return None;
-    };
-    let mut key = name.clone();
-    if let Some(Json::Obj(labels)) = m.get("labels") {
-        if !labels.is_empty() {
-            key.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    key.push(',');
-                }
-                let Json::Str(v) = v else { return None };
-                key.push_str(&format!("{k}=\"{v}\""));
-            }
-            key.push('}');
-        }
-    }
-    Some(key)
-}
-
-fn num_field(m: &Json, field: &str) -> f64 {
-    match m.get(field) {
-        Some(Json::Num(n)) => *n,
-        _ => 0.0,
-    }
-}
-
-/// Dense per-bucket counts for the sparkline, from the sparse
-/// `[[upper,count],…]` pairs in the snapshot.
-fn dense_buckets(m: &Json) -> Vec<u64> {
-    let mut dense = vec![0u64; BUCKETS];
-    if let Some(Json::Arr(pairs)) = m.get("buckets") {
-        for pair in pairs {
-            if let Json::Arr(p) = pair {
-                if let (Some(Json::Num(upper)), Some(Json::Num(count))) = (p.first(), p.get(1)) {
-                    dense[bucket_index(*upper as u64)] = *count as u64;
-                }
-            }
-        }
-    }
-    dense
-}
-
-/// Rebuild the typed snapshot from a stats response so `--text` can
-/// reuse the registry's own exposition renderer byte for byte.
-fn snapshot_from_doc(doc: &Json) -> Result<MetricsSnapshot, String> {
-    let Some(Json::Arr(metrics)) = doc.get("result").and_then(|r| r.get("metrics")) else {
-        return Err("response carries no metrics snapshot".into());
-    };
-    let mut out = Vec::with_capacity(metrics.len());
-    for m in metrics {
-        let Some(Json::Str(name)) = m.get("name") else {
-            return Err("metric without a name".into());
-        };
-        let mut labels = Vec::new();
-        if let Some(Json::Obj(pairs)) = m.get("labels") {
-            for (k, v) in pairs {
-                let Json::Str(v) = v else {
-                    return Err(format!("{name}: non-string label value"));
-                };
-                labels.push((k.clone(), v.clone()));
-            }
-        }
-        let value = match m.get("type") {
-            Some(Json::Str(t)) if t == "counter" => {
-                MetricValue::Counter(num_field(m, "value") as u64)
-            }
-            Some(Json::Str(t)) if t == "gauge" => MetricValue::Gauge(num_field(m, "value") as i64),
-            Some(Json::Str(t)) if t == "histogram" => {
-                let mut buckets = Vec::new();
-                if let Some(Json::Arr(pairs)) = m.get("buckets") {
-                    for pair in pairs {
-                        if let Json::Arr(p) = pair {
-                            if let (Some(Json::Num(u)), Some(Json::Num(n))) = (p.first(), p.get(1))
-                            {
-                                buckets.push((*u as u64, *n as u64));
-                            }
-                        }
-                    }
-                }
-                MetricValue::Histogram(HistogramSnapshot {
-                    count: num_field(m, "count") as u64,
-                    sum: num_field(m, "sum") as u64,
-                    min: num_field(m, "min") as u64,
-                    max: num_field(m, "max") as u64,
-                    buckets,
-                })
-            }
-            _ => return Err(format!("{name}: unknown metric type")),
-        };
-        out.push(MetricSnapshot {
-            name: name.clone(),
-            labels,
-            value,
-        });
-    }
-    Ok(MetricsSnapshot { metrics: out })
-}
-
-/// Render one stats response document as the dashboard block.
-fn render(doc: &Json) -> Result<String, String> {
+/// Render one stats snapshot as the dashboard block.
+fn render(snap: &MetricsSnapshot) -> String {
     use std::fmt::Write as _;
-    let Some(Json::Arr(metrics)) = doc.get("result").and_then(|r| r.get("metrics")) else {
-        return Err("response carries no metrics snapshot".into());
-    };
     let mut counters: Vec<(String, String)> = Vec::new();
     let mut gauges: Vec<(String, String)> = Vec::new();
-    // key, spark, count, p50, p90, p99, max
+    // key, spark, [count, p50, p90, p99, max]
     let mut hists: Vec<(String, String, [String; 5])> = Vec::new();
-    for m in metrics {
-        let Some(key) = canonical_key(m) else {
-            continue;
-        };
-        match m.get("type") {
-            Some(Json::Str(t)) if t == "counter" => {
-                counters.push((key, fmt_num(num_field(m, "value"))));
+    for m in &snap.metrics {
+        match &m.value {
+            MetricValue::Counter(v) => counters.push((m.key(), v.to_string())),
+            MetricValue::Gauge(v) => gauges.push((m.key(), v.to_string())),
+            MetricValue::Histogram(h) => {
+                let mut dense = vec![0u64; BUCKETS];
+                for &(upper, n) in &h.buckets {
+                    dense[bucket_index(upper)] = n;
+                }
+                let cols = [h.count, h.p50(), h.p90(), h.p99(), h.max].map(|v| v.to_string());
+                hists.push((m.key(), sparkline(&dense, SPARK_WIDTH), cols));
             }
-            Some(Json::Str(t)) if t == "gauge" => {
-                gauges.push((key, fmt_num(num_field(m, "value"))));
-            }
-            Some(Json::Str(t)) if t == "histogram" => {
-                let cols = ["count", "p50", "p90", "p99", "max"].map(|f| fmt_num(num_field(m, f)));
-                hists.push((key, sparkline(&dense_buckets(m), SPARK_WIDTH), cols));
-            }
-            _ => {}
         }
     }
 
@@ -229,47 +105,7 @@ fn render(doc: &Json) -> Result<String, String> {
     if out.is_empty() {
         out.push_str("(no metrics registered)\n");
     }
-    Ok(out)
-}
-
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    next_id: u64,
-}
-
-impl Conn {
-    fn open(addr: &str) -> Conn {
-        let stream =
-            TcpStream::connect(addr).unwrap_or_else(|e| die(&format!("connect {addr}: {e}")));
-        let reader = BufReader::new(
-            stream
-                .try_clone()
-                .unwrap_or_else(|e| die(&format!("clone stream: {e}"))),
-        );
-        Conn {
-            reader,
-            writer: stream,
-            next_id: 1,
-        }
-    }
-
-    fn stats(&mut self) -> Json {
-        let id = self.next_id;
-        self.next_id += 1;
-        let line = format!("{{\"id\":\"top{id}\",\"verb\":\"stats\"}}\n");
-        self.writer
-            .write_all(line.as_bytes())
-            .unwrap_or_else(|e| die(&format!("send failed: {e}")));
-        let mut buf = String::new();
-        match self.reader.read_line(&mut buf) {
-            Ok(0) => die("daemon closed the connection"),
-            Ok(_) => {}
-            Err(e) => die(&format!("read failed: {e}")),
-        }
-        parse_json(buf.trim_end_matches('\n'))
-            .unwrap_or_else(|e| die(&format!("bad response: {e}")))
-    }
+    out
 }
 
 fn main() -> ExitCode {
@@ -310,23 +146,25 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    let mut conn = Conn::open(&addr);
+    let mut client =
+        Client::connect(&addr, "top").unwrap_or_else(|e| die(&format!("connect {addr}: {e}")));
+    let mut stats = || {
+        client
+            .request("\"verb\":\"stats\"")
+            .unwrap_or_else(|e| die(&e.to_string()))
+            .metrics()
+            .unwrap_or_else(|e| die(&e))
+    };
     if text {
-        match snapshot_from_doc(&conn.stats()) {
-            Ok(snap) => print!("{}", snap.render_text()),
-            Err(e) => die(&e),
-        }
+        print!("{}", stats().render_text());
         return ExitCode::SUCCESS;
     }
     let mut sample = 0u64;
     loop {
         sample += 1;
-        let doc = conn.stats();
+        let snap = stats();
         println!("dc-top — {addr} — sample {sample}");
-        match render(&doc) {
-            Ok(block) => print!("{block}"),
-            Err(e) => die(&e),
-        }
+        print!("{}", render(&snap));
         let Some(ms) = interval_ms else { break };
         if samples.is_some_and(|n| sample >= n) {
             break;
@@ -341,8 +179,10 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use dc_obs::metrics::Registry;
+    use dc_server::client::snapshot_from_doc;
+    use dc_store::json::{parse_json, Json};
 
-    fn sample_doc() -> Json {
+    fn sample_registry() -> Registry {
         let reg = Registry::new();
         reg.counter("dc_server_requests_total", &[("verb", "submit")])
             .add(12);
@@ -351,16 +191,24 @@ mod tests {
         for v in [0u64, 5, 5, 120, 4000] {
             h.observe(v);
         }
+        reg
+    }
+
+    fn sample_doc() -> Json {
         let response = format!(
             "{{\"id\":\"top1\",\"ok\":true,\"result\":{}}}",
-            reg.snapshot().to_json()
+            sample_registry().snapshot().to_json()
         );
         parse_json(&response).expect("well-formed")
     }
 
+    fn sample() -> MetricsSnapshot {
+        snapshot_from_doc(&sample_doc()).expect("decodes")
+    }
+
     #[test]
     fn renders_aligned_tables_with_sparklines() {
-        let out = render(&sample_doc()).expect("renders");
+        let out = render(&sample());
         assert!(out.contains("counters\n"));
         assert!(out.contains("dc_server_requests_total{verb=\"submit\"}"));
         assert!(out.contains("gauges\n"));
@@ -373,13 +221,14 @@ mod tests {
         assert!(hist_line.contains('['));
         assert!(hist_line.contains("  5  "), "count column: {hist_line}");
         // Rendering is deterministic.
-        assert_eq!(out, render(&sample_doc()).expect("renders"));
+        assert_eq!(out, render(&sample()));
     }
 
     #[test]
     fn empty_snapshot_renders_placeholder() {
         let doc = parse_json("{\"id\":1,\"ok\":true,\"result\":{\"metrics\":[]}}").unwrap();
-        assert_eq!(render(&doc).unwrap(), "(no metrics registered)\n");
+        let snap = snapshot_from_doc(&doc).expect("decodes");
+        assert_eq!(render(&snap), "(no metrics registered)\n");
     }
 
     #[test]
@@ -387,15 +236,8 @@ mod tests {
         // The wire JSON carries everything the renderer needs: the
         // rebuilt snapshot's exposition matches the source registry's
         // byte for byte.
-        let reg = Registry::new();
-        reg.counter("dc_server_requests_total", &[("verb", "submit")])
-            .add(12);
-        reg.gauge("dc_pool_queue_depth", &[]).set(3);
-        let h = reg.histogram("dc_server_queue_wait_us", &[]);
-        for v in [0u64, 5, 5, 120, 4000] {
-            h.observe(v);
-        }
-        let snap = snapshot_from_doc(&sample_doc()).expect("round-trips");
+        let reg = sample_registry();
+        let snap = sample();
         assert_eq!(snap.render_text(), reg.snapshot().render_text());
         // Not just the exposition: the decoded snapshot is the registry's
         // own snapshot, field for field.
@@ -414,12 +256,12 @@ mod tests {
             "histograms                                                    count  p50   p90   p99   max\n",
             "  dc_server_queue_wait_us                  [@++             ]      5    7  4000  4000  4000\n",
         );
-        assert_eq!(render(&sample_doc()).expect("renders"), expected);
+        assert_eq!(render(&sample()), expected);
     }
 
     #[test]
     fn non_stats_response_is_an_error() {
         let doc = parse_json("{\"id\":1,\"ok\":true,\"result\":{\"job\":\"job-1\"}}").unwrap();
-        assert!(render(&doc).is_err());
+        assert!(snapshot_from_doc(&doc).is_err());
     }
 }

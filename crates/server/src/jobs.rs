@@ -23,9 +23,8 @@
 
 use crate::protocol::JobSpec;
 use dc_cpu::CpuConfig;
-use dc_obs::event::push_f64;
+use dc_obs::event::{push_f64, write_json_string};
 use dc_obs::{Event, Recorder, Sink, Value};
-use dc_store::json::write_json_string;
 use dcbench::{pool, Characterizer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};

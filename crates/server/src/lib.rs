@@ -11,7 +11,7 @@
 //! ran is answered from memory: **zero** simulations, byte-identical
 //! `output`.
 //!
-//! Three layers:
+//! Four layers, and the client that speaks to them:
 //!
 //! * [`protocol`] — framing, request parsing, response rendering, the
 //!   error-code vocabulary. Total over arbitrary bytes: malformed input
@@ -25,13 +25,19 @@
 //! * [`subset`] — the synchronous `subset` verb: Exhibit SS (PCA +
 //!   hierarchical subsetting) computed daemon-side from the shared
 //!   cache.
+//! * [`client`] — the client side of the protocol: one connection type
+//!   with request ids, `stream` following, the byte-exact `output`
+//!   extractor and the `stats` decoder. Every client in the workspace
+//!   uses it.
 //!
 //! The `dc-server` binary is the daemon; `dc-server-client` is the
 //! scripted client the CI smoke job (and the README examples) drive
-//! sessions with. Protocol details live in `DESIGN.md` §12.
+//! sessions with, and `dc-top` renders the `stats` verb. Protocol
+//! details live in `DESIGN.md` §12.
 
 #![warn(missing_docs)]
 
+pub mod client;
 pub mod jobs;
 pub mod protocol;
 pub mod server;

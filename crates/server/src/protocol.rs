@@ -59,7 +59,8 @@
 //! (`simulations`) sit outside `output` precisely so the contract is
 //! exact.
 
-use dc_store::json::{parse_json, write_json_string, Json};
+use dc_obs::event::write_json_string;
+use dc_store::json::{parse_json, Json};
 use dcbench::BenchmarkId;
 
 /// Hard cap on one request line (bytes, newline excluded). Oversized
@@ -518,6 +519,25 @@ pub fn event_frame(id: &RequestId, event: &dc_obs::Event) -> String {
 mod tests {
     use super::*;
     use dc_obs::event::push_f64;
+
+    #[test]
+    fn both_json_string_escapers_write_identical_bytes() {
+        // The daemon writes strings with dc-obs's escaper; dc-store keeps
+        // its own copy for store records. Both must agree on every ASCII
+        // char (controls included) and on non-ASCII text.
+        let chars =
+            (0u8..=0x7f)
+                .map(char::from)
+                .chain(['é', 'ß', '€', '→', '日', '\u{2028}', '\u{1F600}']);
+        for ch in chars {
+            let text = format!("a{ch}b");
+            let mut obs = String::new();
+            write_json_string(&mut obs, &text);
+            let mut store = String::new();
+            dc_store::json::write_json_string(&mut store, &text);
+            assert_eq!(obs, store, "escapers disagree on U+{:04X}", ch as u32);
+        }
+    }
 
     #[test]
     fn submit_round_trip_with_defaults() {

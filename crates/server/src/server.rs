@@ -21,9 +21,9 @@ use crate::protocol::{
     MAX_LINE_BYTES,
 };
 use dc_mapreduce::pool::SpmcQueue;
+use dc_obs::event::write_json_string;
 use dc_obs::metrics::{self, Clock, Counter, Histogram, MonotonicClock, Registry};
 use dc_obs::{Recorder, Value};
-use dc_store::json::write_json_string;
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, Write};
 use std::net::{TcpListener, TcpStream};

@@ -4,10 +4,11 @@
 //! uses seeds nothing else in the binary touches), plus one subprocess
 //! test of the `--stdio` transport against the actual binary.
 
+use dc_server::client::{Client, Reply};
 use dc_server::{Server, ServerConfig};
-use dc_store::json::{parse_json, Json};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
+use std::time::Duration;
 
 /// One in-process daemon on an ephemeral port.
 struct TestDaemon {
@@ -37,22 +38,14 @@ impl TestDaemon {
         }
     }
 
-    fn connect(&self) -> Conn {
-        let stream = TcpStream::connect(self.addr).expect("connect");
-        let reader = BufReader::new(stream.try_clone().expect("clone"));
-        Conn {
-            reader,
-            writer: stream,
-            next_id: 0,
-        }
+    fn connect(&self) -> Client {
+        Client::connect(self.addr, "t").expect("connect")
     }
 }
 
 impl Drop for TestDaemon {
     fn drop(&mut self) {
-        self.server.begin_shutdown();
-        // Wake the accept loop, then join everything.
-        let _ = TcpStream::connect(self.addr);
+        self.server.shutdown_listener(self.addr);
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
@@ -60,124 +53,26 @@ impl Drop for TestDaemon {
     }
 }
 
-/// A line-oriented client connection with auto-assigned request ids.
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    next_id: u64,
+/// Submit and return the assigned job name.
+fn submit(conn: &mut Client, job: &str) -> String {
+    let reply = conn.submit(job).expect("submit");
+    assert!(reply.is_ok(), "submit failed: {}", reply.raw);
+    reply
+        .result_str("job")
+        .expect("job name in submit response")
+        .to_string()
 }
 
-impl Conn {
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).expect("send");
-        self.writer.write_all(b"\n").expect("send newline");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut buf = String::new();
-        let n = self.reader.read_line(&mut buf).expect("recv");
-        assert!(n > 0, "daemon closed the connection unexpectedly");
-        buf.trim_end_matches('\n').to_string()
-    }
-
-    fn round_trip(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-
-    fn fresh_id(&mut self) -> u64 {
-        self.next_id += 1;
-        self.next_id
-    }
-
-    fn request(&mut self, verb_and_payload: &str) -> String {
-        let id = self.fresh_id();
-        self.round_trip(&format!("{{\"id\":{id},{verb_and_payload}}}"))
-    }
-
-    /// Submit and return the assigned job name.
-    fn submit(&mut self, job: &str) -> String {
-        let response = self.request(&format!("\"verb\":\"submit\",\"job\":{job}"));
-        assert!(
-            response.contains("\"ok\":true"),
-            "submit failed: {response}"
-        );
-        field_str(&response, "job").expect("job name in submit response")
-    }
-
-    /// Poll status until the job is terminal; returns the final raw
-    /// status response.
-    fn await_terminal(&mut self, job: &str) -> String {
-        for _ in 0..4000u32 {
-            let response = self.request(&format!("\"verb\":\"status\",\"job\":\"{job}\""));
-            let state = field_str(&response, "state").expect("state in status");
-            if state == "done" || state == "cancelled" || state == "failed" {
-                return response;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        panic!("job {job} never reached a terminal state");
-    }
+/// Poll status until the job is terminal; returns the final status.
+fn await_terminal(conn: &mut Client, job: &str) -> Reply {
+    conn.await_terminal(job, Duration::from_millis(5), |_| {})
+        .expect("job reaches a terminal state")
 }
 
-/// First `"name":"…"` string field anywhere in a raw response (enough
-/// for the flat envelopes these tests inspect).
-fn field_str(raw: &str, name: &str) -> Option<String> {
-    fn find(doc: &Json, name: &str) -> Option<String> {
-        match doc {
-            Json::Obj(pairs) => pairs.iter().find_map(|(k, v)| {
-                if k == name {
-                    if let Json::Str(s) = v {
-                        return Some(s.clone());
-                    }
-                }
-                find(v, name)
-            }),
-            _ => None,
-        }
-    }
-    find(&parse_json(raw).ok()?, name)
-}
-
-/// The byte-exact `"output":{…}` object of a status response.
-fn extract_output(raw: &str) -> &str {
-    let at = raw.find("\"output\":").expect("output present");
-    let start = at + "\"output\":".len();
-    let bytes = raw.as_bytes();
-    let (mut depth, mut in_string, mut escaped) = (0usize, false, false);
-    for (i, &b) in bytes[start..].iter().enumerate() {
-        if in_string {
-            match (escaped, b) {
-                (true, _) => escaped = false,
-                (false, b'\\') => escaped = true,
-                (false, b'"') => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return &raw[start..start + i + 1];
-                }
-            }
-            _ => {}
-        }
-    }
-    panic!("unterminated output object in {raw}");
-}
-
-fn simulations(raw: &str) -> u64 {
-    let at = raw.find("\"simulations\":").expect("simulations present");
-    raw[at + "\"simulations\":".len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("simulations is an integer")
+/// Send one raw line and read its reply line.
+fn round_trip(conn: &mut Client, line: &str) -> String {
+    conn.send_line(line).expect("send");
+    conn.recv_line().expect("recv")
 }
 
 #[test]
@@ -186,26 +81,30 @@ fn warm_resubmission_simulates_nothing_and_matches_bytes() {
     let spec = "{\"entries\":[\"Sort\",\"Grep\",\"K-means\"],\"seed\":611}";
 
     let mut cold = daemon.connect();
-    let job = cold.submit(spec);
-    let cold_status = cold.await_terminal(&job);
-    assert!(cold_status.contains("\"state\":\"done\""));
-    assert_eq!(simulations(&cold_status), 3, "three cold entries simulate");
-    let cold_output = extract_output(&cold_status).to_string();
+    let job = submit(&mut cold, spec);
+    let cold_status = await_terminal(&mut cold, &job);
+    assert_eq!(cold_status.result_str("state"), Some("done"));
+    assert_eq!(
+        cold_status.simulations(),
+        Some(3),
+        "three cold entries simulate"
+    );
+    let cold_output = cold_status.output().expect("output").to_string();
 
     // A *different* client connection, same spec: answered entirely
     // from the shared memo cache.
     let mut warm = daemon.connect();
-    let job2 = warm.submit(spec);
+    let job2 = submit(&mut warm, spec);
     assert_ne!(job, job2, "job names are per-submission, never deduped");
-    let warm_status = warm.await_terminal(&job2);
+    let warm_status = await_terminal(&mut warm, &job2);
     assert_eq!(
-        simulations(&warm_status),
-        0,
+        warm_status.simulations(),
+        Some(0),
         "warm resubmission: zero simulations"
     );
     assert_eq!(
-        extract_output(&warm_status),
-        cold_output,
+        warm_status.output(),
+        Some(cold_output.as_str()),
         "byte-identical output regardless of cache temperature"
     );
 }
@@ -220,9 +119,10 @@ fn concurrent_clients_all_get_identical_results() {
                 let daemon = &daemon;
                 s.spawn(move || {
                     let mut conn = daemon.connect();
-                    let job = conn.submit(spec);
-                    let status = conn.await_terminal(&job);
-                    (extract_output(&status).to_string(), simulations(&status))
+                    let job = submit(&mut conn, spec);
+                    let status = await_terminal(&mut conn, &job);
+                    let output = status.output().expect("output").to_string();
+                    (output, status.simulations().expect("simulations"))
                 })
             })
             .collect();
@@ -250,25 +150,24 @@ fn concurrent_clients_all_get_identical_results() {
 fn stream_follows_a_live_job_and_passes_the_schema_check() {
     let daemon = TestDaemon::start(1, 16);
     let mut conn = daemon.connect();
-    let job = conn.submit("{\"entries\":[\"Sort\",\"Grep\"],\"seed\":613}");
+    let job = submit(&mut conn, "{\"entries\":[\"Sort\",\"Grep\"],\"seed\":613}");
     // Stream immediately: replay what exists, follow until job_done.
-    conn.send(&format!(
-        "{{\"id\":\"s2\",\"verb\":\"stream\",\"job\":\"{job}\"}}"
-    ));
-    let mut inner_events = Vec::new();
-    let final_response = loop {
-        let line = conn.recv();
-        if let Some(at) = line.find("\"event\":") {
-            inner_events.push(line[at + "\"event\":".len()..line.len() - 1].to_string());
-        } else {
-            break line;
-        }
+    let follow = |conn: &mut Client| {
+        let mut events = Vec::new();
+        let last = conn
+            .stream(&job, |frame| {
+                events.push(frame.event().expect("frame event").to_string())
+            })
+            .expect("stream");
+        (events, last)
     };
+    let (inner_events, final_response) = follow(&mut conn);
     assert!(
-        final_response.contains("\"ok\":true"),
-        "stream ends ok: {final_response}"
+        final_response.is_ok(),
+        "stream ends ok: {}",
+        final_response.raw
     );
-    assert!(final_response.contains("\"state\":\"done\""));
+    assert_eq!(final_response.result_str("state"), Some("done"));
 
     // The streamed event log is a complete, schema-valid, gapless
     // dc-obs artifact in its own right.
@@ -291,18 +190,7 @@ fn stream_follows_a_live_job_and_passes_the_schema_check() {
     );
 
     // Replaying after completion yields the identical event bytes.
-    conn.send(&format!(
-        "{{\"id\":\"s3\",\"verb\":\"stream\",\"job\":\"{job}\"}}"
-    ));
-    let mut replay = Vec::new();
-    loop {
-        let line = conn.recv();
-        if let Some(at) = line.find("\"event\":") {
-            replay.push(line[at + "\"event\":".len()..line.len() - 1].to_string());
-        } else {
-            break;
-        }
-    }
+    let (replay, _) = follow(&mut conn);
     assert_eq!(
         replay, inner_events,
         "replay is byte-identical to the live follow"
@@ -315,43 +203,44 @@ fn queued_jobs_cancel_while_the_executor_is_busy() {
     let mut conn = daemon.connect();
     // Occupy the single executor with a wide job, then pile two more
     // behind it and cancel the last while it is still queued.
-    let busy = conn.submit("{\"entries\":\"all\",\"seed\":614}");
-    let second = conn.submit("{\"entries\":[\"Sort\"],\"seed\":615}");
-    let victim = conn.submit("{\"entries\":[\"Grep\"],\"seed\":616}");
-    let response = conn.request(&format!("\"verb\":\"cancel\",\"job\":\"{victim}\""));
-    assert!(
-        response.contains("\"ok\":true"),
-        "cancel queued: {response}"
-    );
-    assert!(response.contains("\"state\":\"cancelled\""));
+    let busy = submit(&mut conn, "{\"entries\":\"all\",\"seed\":614}");
+    let second = submit(&mut conn, "{\"entries\":[\"Sort\"],\"seed\":615}");
+    let victim = submit(&mut conn, "{\"entries\":[\"Grep\"],\"seed\":616}");
+    let cancel = format!("\"verb\":\"cancel\",\"job\":\"{victim}\"");
+    let response = conn.request(&cancel).expect("cancel");
+    assert!(response.is_ok(), "cancel queued: {}", response.raw);
+    assert_eq!(response.result_str("state"), Some("cancelled"));
     // Cancelling it again is a structured error, not a state change.
-    let again = conn.request(&format!("\"verb\":\"cancel\",\"job\":\"{victim}\""));
-    assert!(again.contains("\"bad_request\""), "double cancel: {again}");
+    let again = conn.request(&cancel).expect("cancel again");
+    assert_eq!(again.error_code(), Some("bad_request"), "{}", again.raw);
     // The cancelled job stays terminal; its siblings still finish.
-    assert!(conn.await_terminal(&busy).contains("\"state\":\"done\""));
-    assert!(conn.await_terminal(&second).contains("\"state\":\"done\""));
-    assert!(conn
-        .await_terminal(&victim)
-        .contains("\"state\":\"cancelled\""));
+    let state = |conn: &mut Client, job: &str| {
+        let status = await_terminal(conn, job);
+        status.result_str("state").map(str::to_string)
+    };
+    assert_eq!(state(&mut conn, &busy).as_deref(), Some("done"));
+    assert_eq!(state(&mut conn, &second).as_deref(), Some("done"));
+    assert_eq!(state(&mut conn, &victim).as_deref(), Some("cancelled"));
 }
 
 #[test]
 fn garbage_never_takes_the_connection_down() {
     let daemon = TestDaemon::start(1, 16);
     let mut conn = daemon.connect();
-    assert!(conn.round_trip("}{ not json").contains("\"parse_error\""));
-    assert!(conn.round_trip("[1,2,3]").contains("\"parse_error\""));
-    assert!(conn
-        .round_trip("{\"id\":\"g1\",\"verb\":\"warp\"}")
-        .contains("\"unknown_verb\""));
-    assert!(conn
-        .round_trip("{\"id\":\"g2\",\"verb\":\"status\",\"job\":\"job-404\"}")
-        .contains("\"unknown_job\""));
+    assert!(round_trip(&mut conn, "}{ not json").contains("\"parse_error\""));
+    assert!(round_trip(&mut conn, "[1,2,3]").contains("\"parse_error\""));
+    assert!(round_trip(&mut conn, "{\"id\":\"g1\",\"verb\":\"warp\"}").contains("\"unknown_verb\""));
+    assert!(round_trip(
+        &mut conn,
+        "{\"id\":\"g2\",\"verb\":\"status\",\"job\":\"job-404\"}"
+    )
+    .contains("\"unknown_job\""));
     let oversized = "x".repeat(dc_server::protocol::MAX_LINE_BYTES + 1);
-    assert!(conn.round_trip(&oversized).contains("\"line_too_long\""));
+    assert!(round_trip(&mut conn, &oversized).contains("\"line_too_long\""));
     // After all of that abuse, the same connection still does real work.
-    let job = conn.submit("{\"entries\":[\"HMM\"],\"seed\":617}");
-    assert!(conn.await_terminal(&job).contains("\"state\":\"done\""));
+    let job = submit(&mut conn, "{\"entries\":[\"HMM\"],\"seed\":617}");
+    let status = await_terminal(&mut conn, &job);
+    assert_eq!(status.result_str("state"), Some("done"));
 }
 
 #[test]
@@ -362,26 +251,24 @@ fn subset_verb_round_trips_warm_and_byte_matches_the_offline_exhibit() {
 
     // Cold daemon: each of the 11 data-analysis workloads simulates.
     let mut cold = daemon.connect();
-    let cold_response = cold.request(spec);
-    assert!(
-        cold_response.contains("\"ok\":true"),
-        "cold: {cold_response}"
-    );
-    assert_eq!(simulations(&cold_response), 11, "eleven cold entries");
-    let cold_output = extract_output(&cold_response).to_string();
+    let cold_response = cold.request(spec).expect("cold subset");
+    assert!(cold_response.is_ok(), "cold: {}", cold_response.raw);
+    assert_eq!(cold_response.simulations(), Some(11), "eleven cold entries");
+    let cold_output = cold_response.output().expect("output").to_string();
     assert!(cold_output.contains("\"kind\":\"subset\""));
     assert!(cold_output.contains("\"subset\":["));
 
     // A different client, same spec, warm daemon: zero simulations and
     // byte-identical output.
     let mut warm = daemon.connect();
-    let warm_response = warm.request(spec);
+    let warm_response = warm.request(spec).expect("warm subset");
     assert_eq!(
-        simulations(&warm_response),
-        0,
-        "warm subset: {warm_response}"
+        warm_response.simulations(),
+        Some(0),
+        "warm subset: {}",
+        warm_response.raw
     );
-    assert_eq!(extract_output(&warm_response), cold_output);
+    assert_eq!(warm_response.output(), Some(cold_output.as_str()));
 
     // The daemon's output byte-matches the offline exhibit pipeline
     // for the same (k, linkage, window, seed).
@@ -405,16 +292,18 @@ fn subset_verb_round_trips_warm_and_byte_matches_the_offline_exhibit() {
         "\"verb\":\"subset\",\"window\":\"slow\"",
         "\"verb\":\"subset\",\"seed\":-2",
     ] {
-        let response = warm.request(bad);
-        assert!(
-            response.contains("\"bad_request\""),
-            "spec {bad}: {response}"
+        let response = warm.request(bad).expect("bad subset");
+        assert_eq!(
+            response.error_code(),
+            Some("bad_request"),
+            "spec {bad}: {}",
+            response.raw
         );
     }
     // After the abuse the same connection still answers subsets.
-    let again = warm.request(spec);
-    assert_eq!(simulations(&again), 0);
-    assert_eq!(extract_output(&again), cold_output);
+    let again = warm.request(spec).expect("subset again");
+    assert_eq!(again.simulations(), Some(0));
+    assert_eq!(again.output(), Some(cold_output.as_str()));
 }
 
 #[test]
@@ -430,33 +319,39 @@ fn stdio_transport_round_trips_through_the_real_binary() {
     let mut stdin = child.stdin.take().expect("stdin piped");
     let stdout = child.stdout.take().expect("stdout piped");
     let mut reader = BufReader::new(stdout);
-    let mut round_trip = |line: &str| -> String {
-        stdin.write_all(line.as_bytes()).expect("write");
-        stdin.write_all(b"\n").expect("write newline");
+    let mut round_trip = |line: &str| -> Reply {
+        stdin
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write");
         stdin.flush().expect("flush");
         let mut buf = String::new();
         reader.read_line(&mut buf).expect("read");
-        buf.trim_end_matches('\n').to_string()
+        Reply::parse(buf.trim_end_matches('\n').to_string()).expect("reply is JSON")
     };
     let submit =
         round_trip("{\"id\":1,\"verb\":\"submit\",\"job\":{\"entries\":[\"SVM\"],\"seed\":618}}");
-    assert!(submit.contains("\"ok\":true"), "stdio submit: {submit}");
-    let job = field_str(&submit, "job").expect("job name");
+    assert!(submit.is_ok(), "stdio submit: {}", submit.raw);
+    let job = submit.result_str("job").expect("job name").to_string();
     let mut done = false;
     for poll in 0..4000u32 {
         let status = round_trip(&format!(
             "{{\"id\":\"poll-{poll}\",\"verb\":\"status\",\"job\":\"{job}\"}}"
         ));
-        if field_str(&status, "state").as_deref() == Some("done") {
+        if status.result_str("state") == Some("done") {
             done = true;
             break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        std::thread::sleep(Duration::from_millis(5));
     }
     assert!(done, "stdio job finishes");
-    assert!(round_trip("garbage").contains("\"parse_error\""));
+    assert_eq!(round_trip("garbage").error_code(), Some("parse_error"));
     let bye = round_trip("{\"id\":\"end\",\"verb\":\"shutdown\"}");
-    assert!(bye.contains("\"shutting_down\""), "shutdown ack: {bye}");
+    assert_eq!(
+        bye.result_str("state"),
+        Some("shutting_down"),
+        "shutdown ack: {}",
+        bye.raw
+    );
     drop(stdin);
     let status = child.wait().expect("daemon exits");
     assert!(status.success(), "clean exit after shutdown: {status:?}");

@@ -9,11 +9,11 @@
 //! read timeout, so a protocol hang fails the test instead of wedging
 //! the suite.
 
+use dc_server::client::Client;
 use dc_server::protocol::{self, MAX_LINE_BYTES};
 use dc_server::{Server, ServerConfig};
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -33,54 +33,34 @@ fn daemon_addr() -> std::net::SocketAddr {
     })
 }
 
-struct FuzzConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+/// A connection to the shared daemon whose reads time out, so a
+/// protocol hang fails the test instead of wedging the suite.
+fn connect() -> Client {
+    let conn = Client::connect(daemon_addr(), "fz").expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    conn
 }
 
-impl FuzzConn {
-    fn connect() -> FuzzConn {
-        let stream = TcpStream::connect(daemon_addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("timeout");
-        let reader = BufReader::new(stream.try_clone().expect("clone"));
-        FuzzConn {
-            reader,
-            writer: stream,
-        }
-    }
+/// One response line; a read timeout (the daemon hung) or EOF (the
+/// daemon dropped us) both fail the test.
+fn recv(conn: &mut Client) -> String {
+    conn.recv_line()
+        .expect("response before timeout (daemon must not hang)")
+}
 
-    fn send_bytes(&mut self, bytes: &[u8]) {
-        self.writer.write_all(bytes).expect("send");
-        self.writer.flush().expect("flush");
-    }
-
-    /// One response line; a read timeout (the daemon hung) or EOF (the
-    /// daemon dropped us) both fail the test.
-    fn recv(&mut self) -> String {
-        let mut buf = String::new();
-        let n = self
-            .reader
-            .read_line(&mut buf)
-            .expect("response before timeout (daemon must not hang)");
-        assert!(n > 0, "daemon dropped the connection");
-        buf.trim_end_matches('\n').to_string()
-    }
-
-    /// The connection still works: an unknown-job probe comes back as
-    /// the documented structured error.
-    fn assert_alive(&mut self, probe_id: &str) {
-        self.send_bytes(
-            format!("{{\"id\":\"{probe_id}\",\"verb\":\"status\",\"job\":\"job-none\"}}\n")
-                .as_bytes(),
-        );
-        let response = self.recv();
-        assert!(
-            response.contains("\"unknown_job\""),
-            "probe after abuse: {response}"
-        );
-    }
+/// The connection still works: an unknown-job probe comes back as the
+/// documented structured error.
+fn assert_alive(conn: &mut Client, probe_id: &str) {
+    conn.send_line(&format!(
+        "{{\"id\":\"{probe_id}\",\"verb\":\"status\",\"job\":\"job-none\"}}"
+    ))
+    .expect("send");
+    let response = recv(conn);
+    assert!(
+        response.contains("\"unknown_job\""),
+        "probe after abuse: {response}"
+    );
 }
 
 /// Every response is a JSON object with an "ok" field — the envelope
@@ -118,20 +98,20 @@ proptest! {
             .filter(|&b| b != b'\n' && b != b'\r')
             .collect();
         line.push(b'\n');
-        let mut conn = FuzzConn::connect();
-        conn.send_bytes(&line);
-        assert_response_envelope(&conn.recv());
-        conn.assert_alive("alive-arb");
+        let mut conn = connect();
+        conn.send_raw(&line).expect("send");
+        assert_response_envelope(&recv(&mut conn));
+        assert_alive(&mut conn, "alive-arb");
     }
 
     /// JSON-shaped garbage — punctuation soups that walk deepest into
     /// the parser — same contract.
     #[test]
     fn json_shaped_garbage_gets_structured_errors(text in r#"[{}:,"0-9a-z. -]{0,150}"#) {
-        let mut conn = FuzzConn::connect();
-        conn.send_bytes(format!("{text}\n").as_bytes());
-        assert_response_envelope(&conn.recv());
-        conn.assert_alive("alive-json");
+        let mut conn = connect();
+        conn.send_raw(format!("{text}\n").as_bytes()).expect("send");
+        assert_response_envelope(&recv(&mut conn));
+        assert_alive(&mut conn, "alive-json");
     }
 
     /// Every proper prefix of a valid request line is answered with an
@@ -142,15 +122,15 @@ proptest! {
         let full = r#"{"id":"t1","verb":"submit","job":{"entries":["Sort"],"seed":701}}"#;
         // permille < 1000, so cut is always a proper prefix length.
         let cut = (cut_permille as usize * full.len()) / 1000;
-        let mut conn = FuzzConn::connect();
-        conn.send_bytes(format!("{}\n", &full[..cut]).as_bytes());
-        let response = conn.recv();
+        let mut conn = connect();
+        conn.send_raw(format!("{}\n", &full[..cut]).as_bytes()).expect("send");
+        let response = recv(&mut conn);
         assert_response_envelope(&response);
         prop_assert!(
             response.contains("\"ok\":false"),
             "prefix of length {cut} was accepted: {response}"
         );
-        conn.assert_alive("alive-trunc");
+        assert_alive(&mut conn, "alive-trunc");
     }
 
     /// A request split into two half-writes with a pause between them
@@ -160,11 +140,11 @@ proptest! {
     fn interleaved_half_requests_reassemble(split_permille in 1u64..999) {
         let full = "{\"id\":\"h1\",\"verb\":\"status\",\"job\":\"job-none\"}\n";
         let split = 1 + (split_permille as usize * (full.len() - 2)) / 1000;
-        let mut conn = FuzzConn::connect();
-        conn.send_bytes(&full.as_bytes()[..split]);
+        let mut conn = connect();
+        conn.send_raw(&full.as_bytes()[..split]).expect("send");
         std::thread::sleep(Duration::from_millis(2));
-        conn.send_bytes(&full.as_bytes()[split..]);
-        let response = conn.recv();
+        conn.send_raw(&full.as_bytes()[split..]).expect("send");
+        let response = recv(&mut conn);
         prop_assert!(
             response.contains("\"unknown_job\""),
             "reassembled request mishandled: {response}"
@@ -178,17 +158,17 @@ proptest! {
         let submit = format!(
             "{{\"id\":\"dup-{id}\",\"verb\":\"submit\",\"job\":{{\"entries\":[\"Sort\"],\"seed\":702}}}}\n"
         );
-        let mut conn = FuzzConn::connect();
-        conn.send_bytes(submit.as_bytes());
-        let first = conn.recv();
+        let mut conn = connect();
+        conn.send_raw(submit.as_bytes()).expect("send");
+        let first = recv(&mut conn);
         prop_assert!(first.contains("\"ok\":true"), "first submit: {first}");
-        conn.send_bytes(submit.as_bytes());
-        let second = conn.recv();
+        conn.send_raw(submit.as_bytes()).expect("send");
+        let second = recv(&mut conn);
         prop_assert!(
             second.contains("\"duplicate_id\""),
             "second submit with the same id: {second}"
         );
-        conn.assert_alive("alive-dup");
+        assert_alive(&mut conn, "alive-dup");
     }
 
     /// Subset-shaped garbage: a `subset` verb whose `k`/`linkage`/
@@ -226,15 +206,15 @@ proptest! {
         // Then the live daemon: one line in, one envelope out. Valid
         // combinations answer ok (the matrix is cached after the first
         // hit); invalid ones answer bad_request.
-        let mut conn = FuzzConn::connect();
-        conn.send_bytes(line.as_bytes());
-        let response = conn.recv();
+        let mut conn = connect();
+        conn.send_raw(line.as_bytes()).expect("send");
+        let response = recv(&mut conn);
         assert_response_envelope(&response);
         prop_assert!(
             response.contains("\"ok\":true") || response.contains("\"bad_request\""),
             "subset-shaped garbage: {response}"
         );
-        conn.assert_alive("alive-subset");
+        assert_alive(&mut conn, "alive-subset");
     }
 
     /// Oversized lines are consumed and rejected with `line_too_long`;
@@ -243,35 +223,37 @@ proptest! {
     fn oversized_lines_are_rejected_not_buffered(extra in 1usize..4096) {
         let mut line = vec![b'{'; MAX_LINE_BYTES + extra];
         line.push(b'\n');
-        let mut conn = FuzzConn::connect();
-        conn.send_bytes(&line);
-        let response = conn.recv();
+        let mut conn = connect();
+        conn.send_raw(&line).expect("send");
+        let response = recv(&mut conn);
         prop_assert!(
             response.contains("\"line_too_long\""),
             "oversized line: {response}"
         );
-        conn.assert_alive("alive-long");
+        assert_alive(&mut conn, "alive-long");
     }
 }
 
 #[test]
 fn a_hostile_session_mixing_every_abuse_still_serves_real_work() {
-    let mut conn = FuzzConn::connect();
+    let mut conn = connect();
     // Garbage, truncation, duplicate ids, oversized lines, half-writes
     // — back to back on one connection.
-    conn.send_bytes(b"\x00\xffgarbage\n");
-    assert_response_envelope(&conn.recv());
-    conn.send_bytes(b"{\"id\":\"mix\",\"verb\":\"sub\n");
-    assert_response_envelope(&conn.recv());
+    conn.send_raw(b"\x00\xffgarbage\n").expect("send");
+    assert_response_envelope(&recv(&mut conn));
+    conn.send_raw(b"{\"id\":\"mix\",\"verb\":\"sub\n")
+        .expect("send");
+    assert_response_envelope(&recv(&mut conn));
     let mut oversized = vec![b'x'; MAX_LINE_BYTES + 7];
     oversized.push(b'\n');
-    conn.send_bytes(&oversized);
-    assert!(conn.recv().contains("\"line_too_long\""));
+    conn.send_raw(&oversized).expect("send");
+    assert!(recv(&mut conn).contains("\"line_too_long\""));
     // And then a real job goes straight through.
-    conn.send_bytes(
+    conn.send_raw(
         b"{\"id\":\"mix2\",\"verb\":\"submit\",\"job\":{\"entries\":[\"IBCF\"],\"seed\":703}}\n",
-    );
-    let accepted = conn.recv();
+    )
+    .expect("send");
+    let accepted = recv(&mut conn);
     assert!(
         accepted.contains("\"ok\":true"),
         "submit after abuse: {accepted}"
