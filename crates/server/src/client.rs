@@ -22,10 +22,12 @@ use dc_obs::metrics::{HistogramSnapshot, MetricSnapshot, MetricValue, MetricsSna
 use dc_store::json::{parse_json, Json};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// `status` polls [`Client::await_terminal`] makes before giving up.
-const AWAIT_POLLS: usize = 4000;
+/// How long [`Client::await_terminal`] waits for a job to end. A
+/// deadline, not a poll count: a poll's round trip varies with the
+/// transport, and a count would turn that into a varying wait.
+const AWAIT_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// One reply line: the bytes as received (newline stripped) and their
 /// parsed document.
@@ -208,20 +210,27 @@ impl Client {
 
     /// Poll `status` every `interval` until the job is done, cancelled
     /// or failed, handing every reply to `seen`; return the terminal
-    /// reply. A reply without a state, or a job still live after 4000
-    /// polls, is an error.
+    /// reply. A reply without a state, or a job still live after 300 s,
+    /// is an error.
     pub fn await_terminal(
         &mut self,
         job: &str,
         interval: Duration,
         mut seen: impl FnMut(&Reply),
     ) -> io::Result<Reply> {
-        for _ in 0..AWAIT_POLLS {
+        let deadline = Instant::now() + AWAIT_TIMEOUT;
+        loop {
             let reply = self.request(&job_fields("status", job))?;
             seen(&reply);
             match reply.result_str("state") {
                 Some("done" | "cancelled" | "failed") => return Ok(reply),
-                Some(_) => std::thread::sleep(interval),
+                Some(_) if Instant::now() < deadline => std::thread::sleep(interval),
+                Some(_) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        format!("await {job}: not terminal after {AWAIT_TIMEOUT:?}"),
+                    ))
+                }
                 None => {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -230,10 +239,6 @@ impl Client {
                 }
             }
         }
-        Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            format!("await {job}: not terminal after {AWAIT_POLLS} polls"),
-        ))
     }
 }
 
