@@ -842,6 +842,47 @@ mod tests {
         assert_eq!(a, run_once());
     }
 
+    /// The pinned event stream of a 2-iteration replay under one loss
+    /// and recovery: every `phase_start`/`phase_end`, `node_loss` and
+    /// `node_recover` line, byte for byte. A change to the replay's
+    /// arithmetic, event order or field encoding fails here.
+    #[test]
+    fn observed_replay_stream_is_pinned() {
+        let job = JobModel {
+            iterations: 2,
+            ..cpu_job()
+        };
+        let failures = FailureModel::single_loss_with_recovery(60.0, 30.0);
+        let (recorder, ring) = dc_obs::Recorder::ring(256);
+        simulate_with_failures_observed(&ClusterConfig::paper(8), &job, &failures, &recorder);
+        let stream: String = ring
+            .snapshot()
+            .iter()
+            .map(|e| e.to_jsonl() + "\n")
+            .collect();
+        assert_eq!(stream, PINNED_REPLAY);
+    }
+
+    const PINNED_REPLAY: &str = r#"{"seq":0,"ts":0,"kind":"phase_start","fields":{"phase":"setup","iteration":0}}
+{"seq":1,"ts":18000,"kind":"phase_end","fields":{"phase":"setup","iteration":0,"secs":18}}
+{"seq":2,"ts":18000,"kind":"phase_start","fields":{"phase":"map","iteration":0}}
+{"seq":3,"ts":60000,"kind":"node_loss","fields":{"lost":1,"alive":7,"requeued_map_secs":42,"rereplicated_mb":18816,"rereplication_stall_secs":56.448}}
+{"seq":4,"ts":90000,"kind":"node_recover","fields":{"recovered":1,"alive":8}}
+{"seq":5,"ts":483875,"kind":"phase_end","fields":{"phase":"map","iteration":0,"secs":465.875}}
+{"seq":6,"ts":483875,"kind":"phase_start","fields":{"phase":"shuffle","iteration":0}}
+{"seq":7,"ts":483875,"kind":"phase_end","fields":{"phase":"shuffle","iteration":0,"secs":0}}
+{"seq":8,"ts":483875,"kind":"phase_start","fields":{"phase":"reduce","iteration":0}}
+{"seq":9,"ts":503100,"kind":"phase_end","fields":{"phase":"reduce","iteration":0,"secs":19.22533333333331}}
+{"seq":10,"ts":503100,"kind":"phase_start","fields":{"phase":"setup","iteration":1}}
+{"seq":11,"ts":521100,"kind":"phase_end","fields":{"phase":"setup","iteration":1,"secs":18}}
+{"seq":12,"ts":521100,"kind":"phase_start","fields":{"phase":"map","iteration":1}}
+{"seq":13,"ts":951725,"kind":"phase_end","fields":{"phase":"map","iteration":1,"secs":430.625}}
+{"seq":14,"ts":951725,"kind":"phase_start","fields":{"phase":"shuffle","iteration":1}}
+{"seq":15,"ts":951725,"kind":"phase_end","fields":{"phase":"shuffle","iteration":1,"secs":0}}
+{"seq":16,"ts":951725,"kind":"phase_start","fields":{"phase":"reduce","iteration":1}}
+{"seq":17,"ts":970951,"kind":"phase_end","fields":{"phase":"reduce","iteration":1,"secs":19.22533333333331}}
+"#;
+
     #[test]
     fn scaled_from_measured_stats() {
         let stats = JobStats {
