@@ -20,10 +20,10 @@
 //!
 //! [`workload`] provides the uniform registry ([`workload::Workload`])
 //! used by the characterization harness: Table II scenario metadata,
-//! Table I input sizes, and fallible `run` / `run_with_faults` entry
-//! points that execute the real job at a chosen scale — optionally under
-//! a seeded, deterministic fault-injection plan — and return measured
-//! engine statistics.
+//! Table I input sizes, and a fallible `run` entry point that executes
+//! the real job at a chosen scale — under whatever seeded fault plan and
+//! recorder the `JobConfig` carries — and returns measured engine
+//! statistics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,7 +6,6 @@ use crate::{
 };
 use dc_datagen::{graph, ratings, tables, text, vectors, Scale};
 use dc_mapreduce::engine::{JobConfig, JobError, JobStats};
-use dc_mapreduce::faults::FaultPlan;
 use std::fmt;
 
 /// The eleven data-analysis workloads (Table I order).
@@ -209,43 +208,22 @@ impl Workload {
     }
 
     /// Execute the workload **for real** on the local MapReduce engine at
-    /// the given input scale, with a fixed seed, under `cfg.faults` when
-    /// the config carries a plan.
+    /// the given input scale, with a fixed seed.
     ///
-    /// # Errors
-    /// Fails when a task exhausts its attempts (see [`JobError`]); this
-    /// cannot happen without injected faults, but the signature is fallible
-    /// so drivers handle recovery uniformly.
-    pub fn run(&self, scale: Scale, cfg: &JobConfig) -> Result<WorkloadRun, JobError> {
-        self.run_with_faults(scale, cfg, None)
-    }
-
-    /// Like [`Workload::run`], but executing under a seeded [`FaultPlan`]
-    /// (given here, it replaces `cfg.faults`; `None` keeps the config's):
-    /// the chosen task attempts panic, stall, or fail with transient I/O
-    /// errors, and the engine's Hadoop-style recovery (retries, backoff,
-    /// speculation) must still deliver the exact fault-free output.
-    ///
-    /// The plan applies to the *map/reduce phases of each constituent
-    /// job* — iterative workloads (K-means, PageRank, …) re-apply it on
-    /// every iteration, which mirrors a flaky node harassing a whole job
-    /// chain.
+    /// `cfg` reaches every constituent job unchanged: a plan in
+    /// `cfg.faults` makes the chosen task attempts panic, stall, or fail
+    /// with transient I/O errors in the map/reduce phases of *each* job
+    /// (iterative workloads — K-means, PageRank, … — re-apply it on every
+    /// iteration, like a flaky node harassing a whole job chain), and the
+    /// engine's recovery must still deliver the exact fault-free output;
+    /// an enabled `cfg.recorder` receives every job's timeline in turn.
     ///
     /// # Errors
     /// Fails when a task exhausts its attempts (see [`JobError`]), e.g.
-    /// with a plan that panics `max_attempts` times in the same task.
-    pub fn run_with_faults(
-        &self,
-        scale: Scale,
-        cfg: &JobConfig,
-        faults: Option<&FaultPlan>,
-    ) -> Result<WorkloadRun, JobError> {
+    /// with a plan that panics `max_attempts` times in the same task;
+    /// without injected faults this cannot happen.
+    pub fn run(&self, scale: Scale, cfg: &JobConfig) -> Result<WorkloadRun, JobError> {
         let seed = 0xDCBE ^ (*self as u64);
-        let mut cfg = cfg.clone();
-        if let Some(plan) = faults {
-            cfg.faults = Some(plan.clone());
-        }
-        let cfg = &cfg;
         let (outputs, stats) = match self {
             Workload::Sort => {
                 let docs = text::documents(seed, scale, 12);
@@ -367,10 +345,14 @@ mod tests {
         let plan = FaultPlan::new(7)
             .with_fault(TaskKind::Map, 0, 0, Fault::Panic)
             .with_fault(TaskKind::Reduce, 0, 0, Fault::IoError);
+        let faulted_cfg = JobConfig {
+            faults: Some(plan),
+            ..cfg.clone()
+        };
         for w in Workload::all() {
             let clean = w.run(scale, &cfg).expect("fault-free run");
             let faulted = w
-                .run_with_faults(scale, &cfg, Some(&plan))
+                .run(scale, &faulted_cfg)
                 .unwrap_or_else(|e| panic!("{w} failed under faults: {e}"));
             assert_eq!(faulted.outputs, clean.outputs, "{w}: outputs differ");
             assert_eq!(

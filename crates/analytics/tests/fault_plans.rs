@@ -1,6 +1,5 @@
-//! A fault plan carried by `JobConfig::faults` reaches the engine through
-//! `Workload::run`, exactly as an explicit plan does through
-//! `Workload::run_with_faults`.
+//! A fault plan carried by `JobConfig::faults` — the one place a plan is
+//! set — reaches the engine through `Workload::run`.
 
 use dc_analytics::Workload;
 use dc_datagen::Scale;
@@ -17,25 +16,24 @@ fn fatal_plan(cfg: &JobConfig) -> FaultPlan {
 #[test]
 fn run_honours_the_configs_fault_plan() {
     let clean = JobConfig::default();
-    let plan = fatal_plan(&clean);
     assert!(
-        Workload::Sort
-            .run_with_faults(Scale::tiny(), &clean, Some(&plan))
-            .is_err(),
-        "an explicit fatal plan fails the job"
+        Workload::Sort.run(Scale::tiny(), &clean).is_ok(),
+        "without a plan the job succeeds"
     );
     let cfg = JobConfig {
-        faults: Some(plan),
+        faults: Some(fatal_plan(&clean)),
         ..JobConfig::default()
     };
     assert!(
         Workload::Sort.run(Scale::tiny(), &cfg).is_err(),
-        "the same plan carried by the config fails the job too"
+        "a fatal plan carried by the config fails the job"
     );
+    let harmless = JobConfig {
+        faults: Some(FaultPlan::new(11)),
+        ..JobConfig::default()
+    };
     assert!(
-        Workload::Sort
-            .run_with_faults(Scale::tiny(), &cfg, Some(&FaultPlan::new(11)))
-            .is_ok(),
-        "an explicit plan replaces the config's"
+        Workload::Sort.run(Scale::tiny(), &harmless).is_ok(),
+        "a plan with no faults changes nothing"
     );
 }

@@ -15,6 +15,7 @@ use dc_mapreduce::cluster::{
     simulate, simulate_with_failures, ClusterConfig, FailureModel, JobModel,
 };
 use dc_mapreduce::engine::JobConfig;
+use dc_obs::Recorder;
 
 /// Effective IPC used to convert Table I instruction counts into CPU
 /// seconds at 2.4 GHz (the DA-average IPC the paper reports).
@@ -100,7 +101,12 @@ pub fn speedups_under_node_loss(scale: Scale) -> Vec<NodeLossRow> {
             let healthy = simulate(&ClusterConfig::paper(8), &model);
             // Kill one slave halfway through the healthy map phase.
             let failures = FailureModel::single_loss(healthy.map_secs / 2.0);
-            let degraded = simulate_with_failures(&ClusterConfig::paper(8), &model, &failures);
+            let degraded = simulate_with_failures(
+                &ClusterConfig::paper(8),
+                &model,
+                &failures,
+                &Recorder::disabled(),
+            );
             NodeLossRow {
                 workload: w,
                 healthy_speedup: t1 / healthy.makespan_secs,

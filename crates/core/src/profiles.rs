@@ -17,7 +17,7 @@
 //!   implementations in `dc-suites::hpcc` have exactly these access
 //!   patterns).
 //!
-//! `rat_hazard_rate` is the one direct-injection knob (DESIGN.md §5.3).
+//! `rat_hazard_rate` is the one direct-injection knob (DESIGN.md §7 item 3).
 
 use crate::registry::BenchmarkId;
 use dc_trace::profile::{

@@ -5,8 +5,10 @@
 //! first-order behaviour analytically per phase — slot waves, per-node
 //! core and disk throughput, shared network fabric with switch
 //! oversubscription, HDFS write replication, and Hadoop 1.x job setup
-//! overhead — and drive it with per-job cost coefficients measured from
-//! *real* local-engine runs ([`JobModel::scaled_from`]).
+//! overhead — and drive it with per-job cost coefficients ([`JobModel`]):
+//! `dcbench::cluster_experiments` sets the CPU volume from Table I's
+//! instruction counts and the dataflow ratios from *real* local-engine
+//! runs.
 //!
 //! The model intentionally captures the effects that produce the paper's
 //! speed-up spread (3.3×-8.2× on 8 slaves): CPU-bound jobs scale almost
@@ -22,7 +24,6 @@
 //! degraded — never undefined — makespan, so Figure 2 under failure
 //! shows lower speed-ups rather than simulation error.
 
-use crate::engine::JobStats;
 use dc_obs::{Recorder, Value};
 
 /// Cluster hardware/configuration parameters.
@@ -95,42 +96,6 @@ pub struct JobModel {
     pub output_ratio: f64,
     /// Number of chained MapReduce jobs (iterative algorithms).
     pub iterations: u32,
-}
-
-impl JobModel {
-    /// Derive a model from a measured local run.
-    ///
-    /// `engine_threads` is the number of worker threads the measurement
-    /// used (to convert wall time into CPU-seconds), and `input_gb`
-    /// rescales to the paper's input size.
-    pub fn scaled_from(
-        name: impl Into<String>,
-        stats: &JobStats,
-        engine_threads: usize,
-        input_gb: f64,
-    ) -> JobModel {
-        let input_bytes = stats.map_input_bytes.max(1) as f64;
-        let gb = input_bytes / (1 << 30) as f64;
-        let threads = engine_threads.max(1) as f64;
-        let map_cpu = stats.map_ms as f64 / 1000.0 * threads;
-        let shuffle_gb = stats.shuffle_bytes as f64 / (1 << 30) as f64;
-        let reduce_cpu = stats.reduce_ms as f64 / 1000.0 * threads;
-        JobModel {
-            name: name.into(),
-            input_gb,
-            map_cpu_secs_per_gb: map_cpu / gb.max(1e-9),
-            shuffle_ratio: stats.shuffle_bytes as f64 / input_bytes,
-            reduce_cpu_secs_per_gb: reduce_cpu / shuffle_gb.max(1e-9),
-            output_ratio: stats.reduce_output_bytes as f64 / input_bytes,
-            iterations: 1,
-        }
-    }
-
-    /// Mark the job as an `n`-iteration chain (K-means, PageRank, …).
-    pub fn with_iterations(mut self, n: u32) -> Self {
-        self.iterations = n.max(1);
-        self
-    }
 }
 
 /// The simulated outcome of running a job on a cluster.
@@ -299,20 +264,7 @@ impl FailureModel {
 ///   output is gone),
 /// * stalls the fabric while HDFS re-replicates the lost blocks.
 ///
-/// With an empty schedule this is exactly [`simulate`].
-pub fn simulate_with_failures(
-    cluster: &ClusterConfig,
-    job: &JobModel,
-    failures: &FailureModel,
-) -> ClusterRun {
-    if failures.is_empty() {
-        return simulate(cluster, job);
-    }
-    replay_with_failures(cluster, job, failures, &Recorder::disabled())
-}
-
-/// [`simulate_with_failures`] with the piecewise timeline emitted as
-/// structured events.
+/// With an empty schedule the result is exactly [`simulate`]'s.
 ///
 /// When `recorder` is enabled, the replay emits:
 ///
@@ -325,9 +277,9 @@ pub fn simulate_with_failures(
 ///
 /// Event timestamps are **simulated milliseconds** since job
 /// submission — a pure function of the inputs, so two calls with the
-/// same arguments produce byte-identical event streams. The returned
-/// [`ClusterRun`] is exactly [`simulate_with_failures`]'s.
-pub fn simulate_with_failures_observed(
+/// same arguments produce byte-identical event streams. Observation
+/// never changes the returned [`ClusterRun`].
+pub fn simulate_with_failures(
     cluster: &ClusterConfig,
     job: &JobModel,
     failures: &FailureModel,
@@ -592,14 +544,6 @@ fn replay_with_failures(
     }
 }
 
-/// Speed-up of `job` on `slaves` under a failure schedule, relative to
-/// a *healthy* single slave — the degraded Figure 2 series.
-pub fn speedup_with_failures(job: &JobModel, slaves: u32, failures: &FailureModel) -> f64 {
-    let t1 = simulate(&ClusterConfig::paper(1), job).makespan_secs;
-    let tn = simulate_with_failures(&ClusterConfig::paper(slaves), job, failures).makespan_secs;
-    t1 / tn
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -675,7 +619,13 @@ mod tests {
     #[test]
     fn iterations_multiply_time_and_io() {
         let once = simulate(&ClusterConfig::paper(4), &cpu_job());
-        let thrice = simulate(&ClusterConfig::paper(4), &cpu_job().with_iterations(3));
+        let thrice = simulate(
+            &ClusterConfig::paper(4),
+            &JobModel {
+                iterations: 3,
+                ..cpu_job()
+            },
+        );
         assert!(thrice.makespan_secs > 2.5 * once.makespan_secs);
         assert!((thrice.disk_write_bytes - 3.0 * once.disk_write_bytes).abs() < 1.0);
     }
@@ -690,7 +640,12 @@ mod tests {
     fn empty_failure_model_is_exactly_the_baseline() {
         for job in [cpu_job(), io_job()] {
             let base = simulate(&ClusterConfig::paper(8), &job);
-            let run = simulate_with_failures(&ClusterConfig::paper(8), &job, &FailureModel::none());
+            let run = simulate_with_failures(
+                &ClusterConfig::paper(8),
+                &job,
+                &FailureModel::none(),
+                &Recorder::disabled(),
+            );
             assert_eq!(run, base);
             assert_eq!(run.reexecuted_work_secs, 0.0);
             assert_eq!(run.rereplicated_mb, 0.0);
@@ -704,7 +659,12 @@ mod tests {
         let failures = FailureModel::single_loss(60.0);
         for job in [cpu_job(), io_job()] {
             let base = simulate(&ClusterConfig::paper(8), &job);
-            let run = simulate_with_failures(&ClusterConfig::paper(8), &job, &failures);
+            let run = simulate_with_failures(
+                &ClusterConfig::paper(8),
+                &job,
+                &failures,
+                &Recorder::disabled(),
+            );
             assert!(run.makespan_secs.is_finite(), "{}", job.name);
             assert!(
                 run.makespan_secs > base.makespan_secs,
@@ -717,7 +677,8 @@ mod tests {
             assert!(run.rereplicated_mb > 0.0, "{}", job.name);
             assert!(run.disk_write_bytes > base.disk_write_bytes);
             let healthy = speedup(&job, 8);
-            let degraded = speedup_with_failures(&job, 8, &failures);
+            let degraded =
+                simulate(&ClusterConfig::paper(1), &job).makespan_secs / run.makespan_secs;
             assert!(degraded.is_finite() && degraded > 0.0);
             assert!(
                 degraded < healthy,
@@ -734,11 +695,13 @@ mod tests {
             &ClusterConfig::paper(8),
             &job,
             &FailureModel::single_loss(60.0),
+            &Recorder::disabled(),
         );
         let recovered = simulate_with_failures(
             &ClusterConfig::paper(8),
             &job,
             &FailureModel::single_loss_with_recovery(60.0, 30.0),
+            &Recorder::disabled(),
         );
         let base = simulate(&ClusterConfig::paper(8), &job);
         assert!(recovered.makespan_secs > base.makespan_secs);
@@ -757,6 +720,7 @@ mod tests {
             &ClusterConfig::paper(1),
             &job,
             &FailureModel::single_loss(30.0),
+            &Recorder::disabled(),
         );
         let base = simulate(&ClusterConfig::paper(1), &job);
         assert!(run.makespan_secs.is_finite());
@@ -771,20 +735,28 @@ mod tests {
             &ClusterConfig::paper(8),
             &job,
             &FailureModel::single_loss(base.makespan_secs * 10.0),
+            &Recorder::disabled(),
         );
         assert!((run.makespan_secs - base.makespan_secs).abs() < 1e-6);
     }
 
     #[test]
     fn observed_replay_emits_the_failure_timeline() {
-        let job = cpu_job().with_iterations(2);
+        let job = JobModel {
+            iterations: 2,
+            ..cpu_job()
+        };
         let failures = FailureModel::single_loss_with_recovery(60.0, 30.0);
         let (recorder, ring) = dc_obs::Recorder::ring(256);
-        let run =
-            simulate_with_failures_observed(&ClusterConfig::paper(8), &job, &failures, &recorder);
+        let run = simulate_with_failures(&ClusterConfig::paper(8), &job, &failures, &recorder);
         assert_eq!(
             run,
-            simulate_with_failures(&ClusterConfig::paper(8), &job, &failures),
+            simulate_with_failures(
+                &ClusterConfig::paper(8),
+                &job,
+                &failures,
+                &Recorder::disabled()
+            ),
             "observation must not change the simulated outcome"
         );
         assert_eq!(ring.count_kind("node_loss"), 1);
@@ -808,7 +780,7 @@ mod tests {
     fn observed_empty_schedule_is_exactly_the_baseline_with_phases() {
         let job = io_job();
         let (recorder, ring) = dc_obs::Recorder::ring(64);
-        let run = simulate_with_failures_observed(
+        let run = simulate_with_failures(
             &ClusterConfig::paper(4),
             &job,
             &FailureModel::none(),
@@ -828,7 +800,7 @@ mod tests {
         let run_once = || {
             let buf = dc_obs::SharedBuf::default();
             let recorder = dc_obs::Recorder::jsonl(buf.clone());
-            simulate_with_failures_observed(
+            simulate_with_failures(
                 &ClusterConfig::paper(8),
                 &io_job(),
                 &FailureModel::single_loss(45.0),
@@ -854,7 +826,7 @@ mod tests {
         };
         let failures = FailureModel::single_loss_with_recovery(60.0, 30.0);
         let (recorder, ring) = dc_obs::Recorder::ring(256);
-        simulate_with_failures_observed(&ClusterConfig::paper(8), &job, &failures, &recorder);
+        simulate_with_failures(&ClusterConfig::paper(8), &job, &failures, &recorder);
         let stream: String = ring
             .snapshot()
             .iter()
@@ -882,23 +854,4 @@ mod tests {
 {"seq":16,"ts":951725,"kind":"phase_start","fields":{"phase":"reduce","iteration":1}}
 {"seq":17,"ts":970951,"kind":"phase_end","fields":{"phase":"reduce","iteration":1,"secs":19.22533333333331}}
 "#;
-
-    #[test]
-    fn scaled_from_measured_stats() {
-        let stats = JobStats {
-            map_input_bytes: 1 << 30,
-            shuffle_bytes: 1 << 29,
-            reduce_output_bytes: 1 << 28,
-            map_ms: 2_000,
-            reduce_ms: 1_000,
-            ..Default::default()
-        };
-        let model = JobModel::scaled_from("wc", &stats, 4, 154.0);
-        assert!((model.map_cpu_secs_per_gb - 8.0).abs() < 1e-9);
-        assert!((model.shuffle_ratio - 0.5).abs() < 1e-9);
-        assert!((model.output_ratio - 0.25).abs() < 1e-9);
-        assert!((model.input_gb - 154.0).abs() < 1e-9);
-        // Reduce: 1 s × 4 threads over 0.5 GB shuffle = 8 s/GB.
-        assert!((model.reduce_cpu_secs_per_gb - 8.0).abs() < 1e-9);
-    }
 }

@@ -30,7 +30,7 @@
 //! * a seeded [`FaultPlan`] can inject panics,
 //!   slowdowns, and transient I/O errors per attempt —
 //!   deterministically, for reproducible chaos runs (see
-//!   [`run_job_with_faults`]).
+//!   [`JobConfig::faults`]).
 //!
 //! Attempt outputs are buffered privately and merged into the job in
 //! task order only on first commit, so retries and speculation never
@@ -48,8 +48,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-/// Engine configuration (slot counts mirror Hadoop task slots).
-#[derive(Debug, Clone, PartialEq)]
+/// Engine configuration (slot counts mirror Hadoop task slots), plus
+/// the run's optional fault plan and timeline recorder.
+#[derive(Debug, Clone)]
 pub struct JobConfig {
     /// Concurrent map tasks (Hadoop map slots).
     pub map_slots: usize,
@@ -76,9 +77,14 @@ pub struct JobConfig {
     /// speculation engages only on genuine stragglers.
     pub speculative_lag_ms: u64,
     /// Deterministic fault-injection plan applied to every job run with
-    /// this config. [`run_job_with_faults`]'s explicit plan, when given,
-    /// takes precedence.
+    /// this config: the engine consults it before every task attempt
+    /// and applies the injected panic, slowdown, or transient error.
+    /// `None` (the default) injects nothing.
     pub faults: Option<FaultPlan>,
+    /// Where the job timeline goes (see [`run_job`] for the events).
+    /// Disabled by default: a disabled recorder costs one branch per
+    /// would-be event and changes no result or counter.
+    pub recorder: Recorder,
 }
 
 impl Default for JobConfig {
@@ -94,6 +100,7 @@ impl Default for JobConfig {
             speculative: true,
             speculative_lag_ms: 400,
             faults: None,
+            recorder: Recorder::disabled(),
         }
     }
 }
@@ -368,20 +375,18 @@ where
 /// retries, backoff, and speculative execution. Returns committed
 /// outputs in task order — exactly one per task.
 ///
-/// Every attempt transition is emitted through `recorder` as a span
-/// event (`attempt_start` / `attempt_end` with an `outcome` field, plus
-/// `attempt_retry` and `speculative_launch` markers). Timestamps are
-/// milliseconds since `epoch` — job-relative wall-clock time, the one
-/// explicitly non-deterministic domain in the stack.
-#[allow(clippy::too_many_arguments)]
+/// Every attempt consults `cfg.faults`, and every attempt transition is
+/// emitted through `cfg.recorder` as a span event (`attempt_start` /
+/// `attempt_end` with an `outcome` field, plus `attempt_retry` and
+/// `speculative_launch` markers). Timestamps are milliseconds since
+/// `epoch` — job-relative wall-clock time, the one explicitly
+/// non-deterministic domain in the stack.
 fn run_phase<T, W>(
     kind: TaskKind,
     num_tasks: usize,
     slots: usize,
     cfg: &JobConfig,
-    faults: Option<&FaultPlan>,
     task_bytes: &[u64],
-    recorder: &Recorder,
     epoch: Instant,
     work: W,
 ) -> Result<(Vec<T>, FaultCounters), JobError>
@@ -393,6 +398,8 @@ where
         return Ok((Vec::new(), FaultCounters::default()));
     }
 
+    let faults = cfg.faults.as_ref();
+    let recorder = &cfg.recorder;
     let phase_name = match kind {
         TaskKind::Map => "map",
         TaskKind::Reduce => "reduce",
@@ -646,60 +653,10 @@ struct ReduceTaskOut<O> {
 /// Returns the reduce outputs (ordered by reduce partition, stable
 /// across retries and speculation) and the job's measured [`JobStats`],
 /// or a [`JobError`] if some task failed [`JobConfig::max_attempts`]
-/// times.
-pub fn run_job<I, K, V, O, M, R>(
-    inputs: Vec<I>,
-    cfg: &JobConfig,
-    mapper: M,
-    combiner: Option<Combiner<K, V>>,
-    reducer: R,
-) -> Result<(Vec<O>, JobStats), JobError>
-where
-    I: Clone + Send + Sync + ByteSize,
-    K: Ord + Hash + Clone + Send + Sync + ByteSize,
-    V: Clone + Send + Sync + ByteSize,
-    O: Send,
-    M: Fn(I, &mut dyn FnMut(K, V)) + Sync,
-    R: Fn(&K, &[V]) -> Vec<O> + Sync,
-{
-    run_job_with_faults(inputs, cfg, None, mapper, combiner, reducer)
-}
-
-/// [`run_job`] with deterministic fault injection: the engine consults
-/// `faults` before every task attempt and applies the injected panic,
-/// slowdown, or transient error. With `None` the plan falls back to
-/// [`JobConfig::faults`]; with neither set the behaviour is identical
-/// to `run_job`.
-pub fn run_job_with_faults<I, K, V, O, M, R>(
-    inputs: Vec<I>,
-    cfg: &JobConfig,
-    faults: Option<&FaultPlan>,
-    mapper: M,
-    combiner: Option<Combiner<K, V>>,
-    reducer: R,
-) -> Result<(Vec<O>, JobStats), JobError>
-where
-    I: Clone + Send + Sync + ByteSize,
-    K: Ord + Hash + Clone + Send + Sync + ByteSize,
-    V: Clone + Send + Sync + ByteSize,
-    O: Send,
-    M: Fn(I, &mut dyn FnMut(K, V)) + Sync,
-    R: Fn(&K, &[V]) -> Vec<O> + Sync,
-{
-    run_job_observed(
-        inputs,
-        cfg,
-        faults,
-        &Recorder::disabled(),
-        mapper,
-        combiner,
-        reducer,
-    )
-}
-
-/// [`run_job_with_faults`] with a structured job timeline attached.
+/// times. A plan in [`JobConfig::faults`] is applied to every task
+/// attempt; recovery still delivers the fault-free output.
 ///
-/// When `recorder` is enabled, the engine emits:
+/// When [`JobConfig::recorder`] is enabled, the engine emits:
 ///
 /// * `job_start` / `job_summary` (or `job_failed`) bracketing the run —
 ///   the summary carries the full counter set of the returned
@@ -715,13 +672,9 @@ where
 /// scheduling time of a real multi-threaded run, and therefore the one
 /// event stream in the stack that is *not* deterministic across runs
 /// (event kinds and counts are; timestamps and interleavings are not).
-/// A disabled recorder costs one branch per would-be event and leaves
-/// behaviour identical to [`run_job_with_faults`].
-pub fn run_job_observed<I, K, V, O, M, R>(
+pub fn run_job<I, K, V, O, M, R>(
     inputs: Vec<I>,
     cfg: &JobConfig,
-    faults: Option<&FaultPlan>,
-    recorder: &Recorder,
     mapper: M,
     combiner: Option<Combiner<K, V>>,
     reducer: R,
@@ -735,12 +688,10 @@ where
     R: Fn(&K, &[V]) -> Vec<O> + Sync,
 {
     let epoch = Instant::now();
-    let result = run_job_inner(
-        inputs, cfg, faults, recorder, epoch, mapper, combiner, reducer,
-    );
+    let result = run_job_inner(inputs, cfg, epoch, mapper, combiner, reducer);
     if let Err(e) = &result {
-        if recorder.is_enabled() {
-            recorder.emit(
+        if cfg.recorder.is_enabled() {
+            cfg.recorder.emit(
                 epoch.elapsed().as_millis() as u64,
                 "job_failed",
                 vec![("error", Value::str(e.to_string()))],
@@ -750,12 +701,9 @@ where
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_job_inner<I, K, V, O, M, R>(
     inputs: Vec<I>,
     cfg: &JobConfig,
-    faults: Option<&FaultPlan>,
-    recorder: &Recorder,
     epoch: Instant,
     mapper: M,
     combiner: Option<Combiner<K, V>>,
@@ -769,8 +717,7 @@ where
     M: Fn(I, &mut dyn FnMut(K, V)) + Sync,
     R: Fn(&K, &[V]) -> Vec<O> + Sync,
 {
-    // The explicit plan wins; otherwise any plan carried by the config.
-    let faults = faults.or(cfg.faults.as_ref());
+    let recorder = &cfg.recorder;
     let num_map_tasks = cfg.effective_map_tasks(inputs.len());
     let num_reduce_tasks = cfg.effective_reduce_tasks();
 
@@ -809,9 +756,7 @@ where
         num_map_tasks,
         cfg.map_slots.max(1),
         cfg,
-        faults,
         &map_bytes,
-        recorder,
         epoch,
         move |t| {
             let mut parts: Vec<Vec<(K, V)>> = (0..num_reduce_tasks).map(|_| Vec::new()).collect();
@@ -893,9 +838,7 @@ where
         num_reduce_tasks,
         cfg.reduce_slots.max(1),
         cfg,
-        faults,
         &reduce_bytes,
-        recorder,
         epoch,
         move |r| {
             // Merge: concatenate sorted runs and re-sort (k-way merge is
@@ -1023,21 +966,19 @@ mod tests {
         cfg: &JobConfig,
         with_combiner: bool,
     ) -> (Vec<(String, u64)>, JobStats) {
-        wordcount_with_faults(lines, cfg, with_combiner, None).expect("job succeeds")
+        try_wordcount(lines, cfg, with_combiner).expect("job succeeds")
     }
 
-    fn wordcount_with_faults(
+    fn try_wordcount(
         lines: Vec<String>,
         cfg: &JobConfig,
         with_combiner: bool,
-        faults: Option<&FaultPlan>,
     ) -> Result<(Vec<(String, u64)>, JobStats), JobError> {
         let comb: &(dyn Fn(&String, &[u64]) -> Vec<u64> + Sync) =
             &|_k, vs| vec![vs.iter().sum::<u64>()];
-        run_job_with_faults(
+        run_job(
             lines,
             cfg,
-            faults,
             |line: String, emit: &mut dyn FnMut(String, u64)| {
                 for w in line.split_whitespace() {
                     emit(w.to_string(), 1);
@@ -1219,6 +1160,14 @@ mod tests {
 
     // ---- Fault tolerance ----
 
+    /// `cfg` with `plan` as its fault plan.
+    fn with_plan(cfg: &JobConfig, plan: FaultPlan) -> JobConfig {
+        JobConfig {
+            faults: Some(plan),
+            ..cfg.clone()
+        }
+    }
+
     fn acceptance_lines() -> Vec<String> {
         (0..64)
             .map(|i| format!("alpha beta w{} w{}", i % 7, i % 11))
@@ -1238,14 +1187,13 @@ mod tests {
             .with_fault(TaskKind::Map, 0, 0, Fault::Panic)
             .with_fault(TaskKind::Map, 1, 0, Fault::Panic)
             .with_fault(TaskKind::Reduce, 0, 0, Fault::Panic);
+        let faulted = with_plan(&cfg, plan);
 
         let (mut clean_out, clean_stats) = wordcount(acceptance_lines(), &cfg, true);
-        let (mut out_a, stats_a) =
-            wordcount_with_faults(acceptance_lines(), &cfg, true, Some(&plan))
-                .expect("job recovers from injected panics");
-        let (mut out_b, stats_b) =
-            wordcount_with_faults(acceptance_lines(), &cfg, true, Some(&plan))
-                .expect("job recovers from injected panics");
+        let (mut out_a, stats_a) = try_wordcount(acceptance_lines(), &faulted, true)
+            .expect("job recovers from injected panics");
+        let (mut out_b, stats_b) = try_wordcount(acceptance_lines(), &faulted, true)
+            .expect("job recovers from injected panics");
 
         clean_out.sort();
         out_a.sort();
@@ -1274,7 +1222,8 @@ mod tests {
         for attempt in 0..cfg.max_attempts {
             plan = plan.with_fault(TaskKind::Map, 1, attempt, Fault::Panic);
         }
-        let err = wordcount_with_faults(acceptance_lines(), &cfg, true, Some(&plan))
+        let faulted = with_plan(&cfg, plan);
+        let err = try_wordcount(acceptance_lines(), &faulted, true)
             .expect_err("task must exhaust its attempts");
         match err {
             JobError::TaskExhausted {
@@ -1299,7 +1248,8 @@ mod tests {
         let plan = FaultPlan::new(2)
             .with_fault(TaskKind::Map, 2, 0, Fault::IoError)
             .with_fault(TaskKind::Reduce, 1, 0, Fault::IoError);
-        let (mut out, stats) = wordcount_with_faults(acceptance_lines(), &cfg, true, Some(&plan))
+        let faulted = with_plan(&cfg, plan);
+        let (mut out, stats) = try_wordcount(acceptance_lines(), &faulted, true)
             .expect("transient errors must be retried");
         let (mut clean, _) = wordcount(acceptance_lines(), &cfg, true);
         out.sort();
@@ -1319,7 +1269,8 @@ mod tests {
         // in microseconds, so the mean-based straggler detector fires
         // and the duplicate attempt (no injected fault) wins.
         let plan = FaultPlan::new(3).with_fault(TaskKind::Map, 0, 0, Fault::SlowdownMs(2_000));
-        let (mut out, stats) = wordcount_with_faults(acceptance_lines(), &cfg, true, Some(&plan))
+        let faulted = with_plan(&cfg, plan);
+        let (mut out, stats) = try_wordcount(acceptance_lines(), &faulted, true)
             .expect("speculation must recover the straggler");
         let (mut clean, _) = wordcount(acceptance_lines(), &cfg, true);
         out.sort();
@@ -1338,7 +1289,8 @@ mod tests {
         cfg.speculative = false;
         cfg.speculative_lag_ms = 1;
         let plan = FaultPlan::new(4).with_fault(TaskKind::Map, 0, 0, Fault::SlowdownMs(60));
-        let (_, stats) = wordcount_with_faults(acceptance_lines(), &cfg, true, Some(&plan))
+        let faulted = with_plan(&cfg, plan);
+        let (_, stats) = try_wordcount(acceptance_lines(), &faulted, true)
             .expect("slowdown alone must not fail the job");
         assert_eq!(stats.speculative_attempts, 0);
         assert_eq!(stats.killed_attempts, 0);
@@ -1354,13 +1306,11 @@ mod tests {
             max_faulted_attempt: 2,
             slowdown_ms: 1,
         };
-        let plan = FaultPlan::chaos(0xC4A0, spec);
-        let (mut out_a, stats_a) =
-            wordcount_with_faults(acceptance_lines(), &cfg, true, Some(&plan))
-                .expect("chaos under max_attempts must complete");
-        let (mut out_b, stats_b) =
-            wordcount_with_faults(acceptance_lines(), &cfg, true, Some(&plan))
-                .expect("chaos under max_attempts must complete");
+        let faulted = with_plan(&cfg, FaultPlan::chaos(0xC4A0, spec));
+        let (mut out_a, stats_a) = try_wordcount(acceptance_lines(), &faulted, true)
+            .expect("chaos under max_attempts must complete");
+        let (mut out_b, stats_b) = try_wordcount(acceptance_lines(), &faulted, true)
+            .expect("chaos under max_attempts must complete");
         let (mut clean, clean_stats) = wordcount(acceptance_lines(), &cfg, true);
         out_a.sort();
         out_b.sort();
@@ -1413,34 +1363,14 @@ mod tests {
     #[test]
     fn empty_input_with_faults_still_recovers() {
         let plan = FaultPlan::new(5).with_fault(TaskKind::Map, 0, 0, Fault::Panic);
-        let (out, stats) =
-            wordcount_with_faults(Vec::new(), &JobConfig::default(), true, Some(&plan))
-                .expect("empty job with a faulted attempt must still finish");
+        let faulted = with_plan(&JobConfig::default(), plan);
+        let (out, stats) = try_wordcount(Vec::new(), &faulted, true)
+            .expect("empty job with a faulted attempt must still finish");
         assert!(out.is_empty());
         assert_eq!(stats.failed_attempts, 1);
     }
 
     // ---- Job timelines (dc-obs) ----
-
-    fn observed_wordcount(
-        cfg: &JobConfig,
-        plan: Option<&FaultPlan>,
-        recorder: &Recorder,
-    ) -> Result<(Vec<(String, u64)>, JobStats), JobError> {
-        run_job_observed(
-            acceptance_lines(),
-            cfg,
-            plan,
-            recorder,
-            |line: String, emit: &mut dyn FnMut(String, u64)| {
-                for w in line.split_whitespace() {
-                    emit(w.to_string(), 1);
-                }
-            },
-            None,
-            |k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum::<u64>())],
-        )
-    }
 
     /// The attempt timeline mirrors the stats block: one `ok` end per
     /// task, one `failed` end and one retry per failed attempt, and the
@@ -1454,8 +1384,10 @@ mod tests {
             .with_fault(TaskKind::Map, 1, 0, Fault::Panic)
             .with_fault(TaskKind::Reduce, 0, 0, Fault::IoError);
         let (recorder, ring) = Recorder::ring(4096);
+        cfg.faults = Some(plan);
+        cfg.recorder = recorder;
         let (_, stats) =
-            observed_wordcount(&cfg, Some(&plan), &recorder).expect("job recovers from faults");
+            try_wordcount(acceptance_lines(), &cfg, false).expect("job recovers from faults");
         let events = ring.snapshot();
 
         assert_eq!(ring.count_kind("job_start"), 1);
@@ -1518,20 +1450,29 @@ mod tests {
             plan = plan.with_fault(TaskKind::Map, 0, attempt, Fault::Panic);
         }
         let (recorder, ring) = Recorder::ring(1024);
-        let err = observed_wordcount(&cfg, Some(&plan), &recorder)
+        cfg.faults = Some(plan);
+        cfg.recorder = recorder;
+        let err = try_wordcount(acceptance_lines(), &cfg, false)
             .expect_err("task must exhaust its attempts");
         assert!(matches!(err, JobError::TaskExhausted { .. }));
         assert_eq!(ring.count_kind("job_failed"), 1);
         assert_eq!(ring.count_kind("job_summary"), 0);
     }
 
-    /// A disabled recorder must leave results and counters untouched —
-    /// `run_job_with_faults` is literally the disabled-recorder path.
+    /// Recording is observation only: a run with the default disabled
+    /// recorder and one with an enabled recorder give the same outputs
+    /// and dataflow counters.
     #[test]
     fn disabled_recorder_changes_nothing() {
         let cfg = JobConfig::default();
-        let (mut via_observed, obs_stats) =
-            observed_wordcount(&cfg, None, &Recorder::disabled()).expect("job succeeds");
+        assert!(!cfg.recorder.is_enabled(), "disabled by default");
+        let (recorder, ring) = Recorder::ring(1024);
+        let observed = JobConfig {
+            recorder,
+            ..cfg.clone()
+        };
+        let (mut via_observed, obs_stats) = wordcount(acceptance_lines(), &observed, false);
+        assert_eq!(ring.count_kind("job_summary"), 1);
         let (mut plain, plain_stats) = wordcount(acceptance_lines(), &cfg, false);
         via_observed.sort();
         plain.sort();

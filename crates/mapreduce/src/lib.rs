@@ -12,10 +12,10 @@
 //! * [`cluster`] — a discrete-event model of the multi-node Hadoop
 //!   cluster (slot waves, disk and NIC bandwidth sharing, job setup
 //!   overhead, shuffle/compute overlap, node failure and recovery).
-//!   Per-task costs are derived from *measured* local-engine statistics
-//!   via [`cluster::JobModel::scaled_from`], and the model regenerates
-//!   the paper's Figure 2 (speed-up on 1/4/8 slaves) and Figure 5 (disk
-//!   writes per second).
+//!   Driven by a [`cluster::JobModel`] whose dataflow ratios are
+//!   *measured* on the local engine (`dcbench::cluster_experiments`
+//!   builds them), the model regenerates the paper's Figure 2 (speed-up
+//!   on 1/4/8 slaves) and Figure 5 (disk writes per second).
 //! * [`faults`] — seeded, deterministic fault injection (task panics,
 //!   stragglers, transient I/O errors) exercising the engine's
 //!   Hadoop-style task-attempt recovery: retries with backoff,
@@ -24,11 +24,12 @@
 //!   the engine (closeable SPMC queue + deterministic `parallel_map`),
 //!   shared with the `dcbench` characterization pipeline.
 //!
-//! Both halves are observable through `dc-obs`: [`engine::run_job_observed`]
-//! emits a live task-attempt timeline (wall-clock millisecond
-//! timestamps), and [`cluster::simulate_with_failures_observed`] emits
-//! the deterministic phase/failure timeline of the cluster replay
-//! (simulated-millisecond timestamps).
+//! Both halves are observable through `dc-obs`: [`engine::run_job`]
+//! emits a live task-attempt timeline into [`engine::JobConfig::recorder`]
+//! (wall-clock millisecond timestamps), and
+//! [`cluster::simulate_with_failures`] emits the deterministic
+//! phase/failure timeline of the cluster replay (simulated-millisecond
+//! timestamps).
 //!
 //! ```
 //! use dc_mapreduce::engine::{run_job, JobConfig};
@@ -63,8 +64,8 @@ pub mod pool;
 
 pub use bytes::ByteSize;
 pub use cluster::{
-    simulate_with_failures_observed, ClusterConfig, ClusterRun, FailureModel, JobModel, NodeFailure,
+    simulate_with_failures, ClusterConfig, ClusterRun, FailureModel, JobModel, NodeFailure,
 };
-pub use engine::{run_job, run_job_observed, run_job_with_faults, JobConfig, JobError, JobStats};
+pub use engine::{run_job, JobConfig, JobError, JobStats};
 pub use faults::{ChaosSpec, Fault, FaultPlan, TaskKind};
 pub use pool::{parallel_map, SpmcQueue};

@@ -1,19 +1,14 @@
 //! Property-based invariants of the MapReduce engine and cluster model.
 
 use dc_mapreduce::cluster::{simulate, speedup, ClusterConfig, JobModel};
-use dc_mapreduce::engine::{run_job_with_faults, JobConfig};
+use dc_mapreduce::engine::{run_job, JobConfig};
 use dc_mapreduce::faults::{ChaosSpec, FaultPlan};
 use proptest::prelude::*;
 
-fn wordcount(
-    lines: Vec<String>,
-    cfg: &JobConfig,
-    faults: Option<&FaultPlan>,
-) -> (Vec<(String, u64)>, dc_mapreduce::JobStats) {
-    run_job_with_faults(
+fn wordcount(lines: Vec<String>, cfg: &JobConfig) -> (Vec<(String, u64)>, dc_mapreduce::JobStats) {
+    run_job(
         lines,
         cfg,
-        faults,
         |line: String, emit: &mut dyn FnMut(String, u64)| {
             for w in line.split_whitespace() {
                 emit(w.to_string(), 1);
@@ -34,8 +29,8 @@ proptest! {
         reduce_tasks in 1usize..6,
     ) {
         let cfg = JobConfig { map_slots, reduce_tasks, ..JobConfig::default() };
-        let (mut out_a, stats) = wordcount(docs.clone(), &cfg, None);
-        let (mut out_b, _) = wordcount(docs.clone(), &JobConfig::default(), None);
+        let (mut out_a, stats) = wordcount(docs.clone(), &cfg);
+        let (mut out_b, _) = wordcount(docs.clone(), &JobConfig::default());
         out_a.sort();
         out_b.sort();
         prop_assert_eq!(&out_a, &out_b);
@@ -66,8 +61,9 @@ proptest! {
             seed,
             ChaosSpec { fault_prob, max_faulted_attempt: 2, slowdown_ms: 1 },
         );
-        let (mut clean_out, clean_stats) = wordcount(docs.clone(), &cfg, None);
-        let (mut chaos_out, chaos_stats) = wordcount(docs, &cfg, Some(&plan));
+        let chaos = JobConfig { faults: Some(plan), ..cfg.clone() };
+        let (mut clean_out, clean_stats) = wordcount(docs.clone(), &cfg);
+        let (mut chaos_out, chaos_stats) = wordcount(docs, &chaos);
         clean_out.sort();
         chaos_out.sort();
         prop_assert_eq!(chaos_out, clean_out);
@@ -113,6 +109,7 @@ proptest! {
         at_secs in 0.0f64..2_000.0,
     ) {
         use dc_mapreduce::cluster::{simulate_with_failures, FailureModel};
+        use dc_obs::Recorder;
         let job = JobModel {
             name: "prop-fail".into(),
             input_gb,
@@ -127,6 +124,7 @@ proptest! {
             &ClusterConfig::paper(8),
             &job,
             &FailureModel::single_loss(at_secs),
+            &Recorder::disabled(),
         );
         prop_assert!(run.makespan_secs.is_finite());
         prop_assert!(run.makespan_secs >= base.makespan_secs - 1e-9);

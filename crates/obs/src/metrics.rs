@@ -19,27 +19,23 @@
 //! * quantiles are *bounds*, not interpolations: `p99` is the upper
 //!   edge of the bucket containing the rank-`ceil(0.99·n)` sample
 //!   (clamped to the observed max), computed with integer arithmetic;
-//! * snapshots sort by `(name, labels)`, so iteration order of the
-//!   sharded registry never leaks into output.
+//! * snapshots list metrics in `(name, labels)` order — the registry's
+//!   own key order, so no hash or insertion order leaks into output.
 //!
 //! # Layout
 //!
-//! A [`Registry`] is lock-sharded: metric identity hashes (FNV-1a) to
-//! one of [`SHARDS`] mutex-guarded maps, so registration from many
-//! threads does not serialize on one lock. Registration is the *only*
-//! locking operation — the returned [`Counter`]/[`Gauge`]/[`Histogram`]
-//! handles are `Arc`s onto atomic cells, so the hot path is a relaxed
-//! atomic RMW (plus one load of the registry-wide enabled flag).
+//! A [`Registry`] is one mutex-guarded ordered map from metric identity
+//! `(name, sorted labels)` to its cell. Registration and snapshots are
+//! the *only* locking operations — the returned
+//! [`Counter`]/[`Gauge`]/[`Histogram`] handles are `Arc`s onto atomic
+//! cells, so the hot path is a relaxed atomic RMW (plus one load of the
+//! registry-wide enabled flag).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::event::write_json_string;
-
-/// Number of registry shards. A small power of two: enough to keep
-/// registration from serializing, cheap to scan at snapshot time.
-pub const SHARDS: usize = 16;
 
 /// Histogram bucket count: bucket 0 holds the value 0, bucket `i`
 /// (1..=64) holds values in `[2^(i-1), 2^i - 1]`.
@@ -628,40 +624,22 @@ enum Slot {
     Histogram(Histogram),
 }
 
-type Shard = Mutex<HashMap<(String, Vec<(String, String)>), Slot>>;
+type MetricKey = (String, Vec<(String, String)>);
 
-/// The lock-sharded metric registry. See the module docs for the
-/// layout and determinism contract.
+/// The metric registry. See the module docs for the layout and
+/// determinism contract.
 pub struct Registry {
     enabled: Arc<AtomicBool>,
-    shards: [Shard; SHARDS],
+    slots: Mutex<BTreeMap<MetricKey, Slot>>,
 }
 
 impl Default for Registry {
     fn default() -> Self {
         Registry {
             enabled: Arc::new(AtomicBool::new(true)),
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            slots: Mutex::new(BTreeMap::new()),
         }
     }
-}
-
-fn fnv1a(name: &str, labels: &[(String, String)]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(name.as_bytes());
-    for (k, v) in labels {
-        eat(&[0xff]);
-        eat(k.as_bytes());
-        eat(&[0xfe]);
-        eat(v.as_bytes());
-    }
-    h
 }
 
 impl Registry {
@@ -696,11 +674,9 @@ impl Registry {
         F: FnOnce(&Arc<AtomicBool>) -> Slot,
         G: Fn(&Slot) -> Option<T>,
     {
+        // Key on the *sorted* labels so label order never splits identity.
         let ls = Self::sorted_labels(labels);
-        // Hash the *sorted* labels so label order never splits identity
-        // across shards.
-        let shard = &self.shards[(fnv1a(name, &ls) as usize) % SHARDS];
-        let mut map = shard.lock().unwrap_or_else(|p| p.into_inner());
+        let mut map = self.slots();
         let slot = map
             .entry((name.to_string(), ls))
             .or_insert_with(|| make(&self.enabled));
@@ -762,39 +738,37 @@ impl Registry {
         )
     }
 
-    /// Freeze every registered metric into a sorted snapshot.
+    fn slots(&self) -> MutexGuard<'_, BTreeMap<MetricKey, Slot>> {
+        self.slots.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Freeze every registered metric into a snapshot, in
+    /// `(name, labels)` order.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut metrics = Vec::new();
-        for shard in &self.shards {
-            let map = shard.lock().unwrap_or_else(|p| p.into_inner());
-            for ((name, labels), slot) in map.iter() {
-                let value = match slot {
+        let metrics = self
+            .slots()
+            .iter()
+            .map(|((name, labels), slot)| MetricSnapshot {
+                name: name.clone(),
+                labels: labels.clone(),
+                value: match slot {
                     Slot::Counter(c) => MetricValue::Counter(c.value()),
                     Slot::Gauge(g) => MetricValue::Gauge(g.value()),
                     Slot::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                };
-                metrics.push(MetricSnapshot {
-                    name: name.clone(),
-                    labels: labels.clone(),
-                    value,
-                });
-            }
-        }
-        metrics.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+                },
+            })
+            .collect();
         MetricsSnapshot { metrics }
     }
 
     /// Zero every registered metric in place, keeping registrations
     /// (harness phase boundaries only).
     pub fn reset_values(&self) {
-        for shard in &self.shards {
-            let map = shard.lock().unwrap_or_else(|p| p.into_inner());
-            for slot in map.values() {
-                match slot {
-                    Slot::Counter(c) => c.reset(),
-                    Slot::Gauge(g) => g.reset(),
-                    Slot::Histogram(h) => h.reset(),
-                }
+        for slot in self.slots().values() {
+            match slot {
+                Slot::Counter(c) => c.reset(),
+                Slot::Gauge(g) => g.reset(),
+                Slot::Histogram(h) => h.reset(),
             }
         }
     }

@@ -114,7 +114,7 @@ pub struct MicroOp {
     /// Set when this µop triggers a register-allocation-table hazard
     /// (partial-register stall / read-port conflict class). See
     /// `WorkloadProfile::rat_hazard_rate` — this is the one
-    /// direct-injection knob in the model, documented in DESIGN.md §5.3.
+    /// direct-injection knob in the model, documented in DESIGN.md §7 item 3.
     pub rat_hazard: bool,
 }
 

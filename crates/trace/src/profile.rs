@@ -15,7 +15,7 @@
 //!   instruction-level parallelism), and
 //! * `rat_hazard_rate` — the single direct-injection knob, modelling
 //!   partial-register / read-port rename hazards that a synthetic stream
-//!   cannot cause organically (see DESIGN.md §5.3).
+//!   cannot cause organically (see DESIGN.md §7 item 3).
 //!
 //! Profiles are built with [`WorkloadProfile::builder`], which validates
 //! every field on [`ProfileBuilder::build`].

@@ -10,10 +10,8 @@
 //! scheduling, non-deterministic); the cluster chart uses simulated
 //! milliseconds (pure function of its inputs).
 
-use dc_mapreduce::cluster::{
-    simulate_with_failures_observed, ClusterConfig, FailureModel, JobModel,
-};
-use dc_mapreduce::engine::{run_job_observed, JobConfig};
+use dc_mapreduce::cluster::{simulate_with_failures, ClusterConfig, FailureModel, JobModel};
+use dc_mapreduce::engine::{run_job, JobConfig};
 use dc_mapreduce::faults::{Fault, FaultPlan, TaskKind};
 use dc_obs::gantt::{self, GanttConfig};
 use dc_obs::{Recorder, RingBuffer};
@@ -52,27 +50,28 @@ fn main() {
     let jsonl = parse_args();
 
     // ---- A faulted engine run: panic, transient error, straggler ----
+    let (recorder, ring) = Recorder::ring(1 << 12);
     let cfg = JobConfig {
         map_tasks: 6,
         reduce_tasks: 2,
         map_slots: 6,
         speculative_lag_ms: 30,
+        faults: Some(
+            FaultPlan::new(0x0B5)
+                .with_fault(TaskKind::Map, 1, 0, Fault::Panic)
+                .with_fault(TaskKind::Reduce, 0, 0, Fault::IoError)
+                .with_fault(TaskKind::Map, 4, 0, Fault::SlowdownMs(400)),
+        ),
+        recorder,
         ..Default::default()
     };
-    let plan = FaultPlan::new(0x0B5)
-        .with_fault(TaskKind::Map, 1, 0, Fault::Panic)
-        .with_fault(TaskKind::Reduce, 0, 0, Fault::IoError)
-        .with_fault(TaskKind::Map, 4, 0, Fault::SlowdownMs(400));
     let lines: Vec<String> = (0..96)
         .map(|i| format!("alpha beta w{} w{}", i % 7, i % 11))
         .collect();
 
-    let (recorder, ring) = Recorder::ring(1 << 12);
-    let (_, stats) = run_job_observed(
+    let (_, stats) = run_job(
         lines,
         &cfg,
-        Some(&plan),
-        &recorder,
         |line: String, emit: &mut dyn FnMut(String, u64)| {
             for w in line.split_whitespace() {
                 emit(w.to_string(), 1);
@@ -110,12 +109,7 @@ fn main() {
     };
     let failures = FailureModel::single_loss_with_recovery(60.0, 45.0);
     let (cluster_recorder, cluster_ring) = Recorder::ring(256);
-    let run = simulate_with_failures_observed(
-        &ClusterConfig::paper(8),
-        &job,
-        &failures,
-        &cluster_recorder,
-    );
+    let run = simulate_with_failures(&ClusterConfig::paper(8), &job, &failures, &cluster_recorder);
 
     println!("== Cluster phase timeline (simulated ms) ==\n");
     let phase_cfg = GanttConfig {

@@ -14,6 +14,9 @@
 //! contract is stronger still: recovery is *total*, returning a
 //! `Recovery` (possibly empty) for any byte soup, never an error and
 //! never a panic.
+//!
+//! The last case feeds the validator a real stream instead: the engine
+//! timeline of a multi-job workload run with a recorder in its config.
 
 use dc_benches::schema::{validate_line, validate_stream};
 use dc_store::json::{parse_json, Json};
@@ -168,4 +171,29 @@ fn the_seed_line_is_actually_valid() {
     let ev = validate_line(GOOD_LINE).expect("seed line must validate");
     assert_eq!((ev.seq, ev.ts, ev.kind), (0, 0, "cache_hit".to_string()));
     assert!(matches!(parse_json(GOOD_LINE), Ok(Json::Obj(_))));
+}
+
+/// A multi-job workload run with a recorder in its `JobConfig` emits one
+/// `job_start`/`job_summary` pair per constituent job, and the whole
+/// stream passes the documented schema.
+#[test]
+fn observed_workload_stream_passes_the_schema() {
+    let (recorder, ring) = dc_obs::Recorder::ring(1 << 16);
+    let cfg = dc_mapreduce::JobConfig {
+        recorder,
+        ..Default::default()
+    };
+    dc_analytics::Workload::HiveBench
+        .run(dc_datagen::Scale::bytes(24 << 10), &cfg)
+        .expect("fault-free run");
+    let starts = ring.count_kind("job_start");
+    assert!(starts >= 2, "Hive-bench chains several jobs, saw {starts}");
+    assert_eq!(ring.count_kind("job_summary"), starts);
+    let stream: String = ring
+        .snapshot()
+        .iter()
+        .map(|e| e.to_jsonl() + "\n")
+        .collect();
+    let n = validate_stream(&stream).unwrap_or_else(|e| panic!("schema: {e}"));
+    assert_eq!(n, ring.snapshot().len());
 }

@@ -31,12 +31,13 @@ fn cluster_survives_one_slave_failing_mid_map() {
     // job model completes with a strictly higher runtime than the
     // healthy run, and never errors or returns NaN.
     use dc_mapreduce::cluster::{simulate_with_failures, FailureModel};
+    use dc_obs::Recorder;
     for &w in Workload::all() {
         let model = job_model(w, Scale::bytes(32 << 10));
         let cluster = ClusterConfig::paper(8);
         let healthy = simulate(&cluster, &model);
         let failures = FailureModel::single_loss(healthy.map_secs / 2.0);
-        let degraded = simulate_with_failures(&cluster, &model, &failures);
+        let degraded = simulate_with_failures(&cluster, &model, &failures, &Recorder::disabled());
         assert!(
             degraded.makespan_secs.is_finite(),
             "{w}: makespan not finite"
