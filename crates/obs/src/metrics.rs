@@ -25,8 +25,8 @@
 //! # Layout
 //!
 //! A [`Registry`] is one mutex-guarded ordered map from metric identity
-//! `(name, sorted labels)` to its cell. Registration and snapshots are
-//! the *only* locking operations — the returned
+//! `(name, sorted labels)` to its cell. Registration, snapshots and
+//! resets are the *only* locking operations — the returned
 //! [`Counter`]/[`Gauge`]/[`Histogram`] handles are `Arc`s onto atomic
 //! cells, so the hot path is a relaxed atomic RMW (plus one load of the
 //! registry-wide enabled flag).
