@@ -277,27 +277,33 @@ pub(crate) fn counts_group_for(
         .collect()
 }
 
-/// The memoized blocks for `key`, counted and reported as a hit; on a
-/// miss, counts the simulation the caller is about to run and reports
-/// the miss.
-fn lookup(key: &CacheKey, recorder: &Recorder) -> Option<Vec<PerfCounts>> {
+/// The memoized blocks for `key`, counted and reported as a hit. A miss
+/// returns `None` and counts and reports nothing, so a caller can try
+/// the memo first and leave the miss to a full lookup elsewhere.
+pub(crate) fn peek(key: &CacheKey, recorder: &Recorder) -> Option<Vec<PerfCounts>> {
     let st = lock();
-    if let Some(hit) = st.memo.get(key).cloned() {
-        let preloaded = st.from_store.contains(key);
-        drop(st);
-        cache_metrics().hits.inc();
-        if preloaded {
-            cache_metrics().store_hits.inc();
-            emit_lookup(recorder, "store_hit", key);
-        } else {
-            emit_lookup(recorder, "cache_hit", key);
-        }
-        return Some(hit);
-    }
+    let hit = st.memo.get(key).cloned()?;
+    let preloaded = st.from_store.contains(key);
     drop(st);
-    note_simulation();
-    emit_lookup(recorder, "cache_miss", key);
-    None
+    cache_metrics().hits.inc();
+    if preloaded {
+        cache_metrics().store_hits.inc();
+        emit_lookup(recorder, "store_hit", key);
+    } else {
+        emit_lookup(recorder, "cache_hit", key);
+    }
+    Some(hit)
+}
+
+/// [`peek`]; on a miss, also counts the simulation the caller is about
+/// to run and reports the miss.
+fn lookup(key: &CacheKey, recorder: &Recorder) -> Option<Vec<PerfCounts>> {
+    let hit = peek(key, recorder);
+    if hit.is_none() {
+        note_simulation();
+        emit_lookup(recorder, "cache_miss", key);
+    }
+    hit
 }
 
 /// Memoize the freshly simulated blocks of a missed `key` and write

@@ -152,10 +152,25 @@ impl Characterizer {
         Core::new(self.cfg.clone()).run(trace, &self.opts)
     }
 
+    /// The memo key of an `n`-wide co-run of one entry (`n == 1` is the
+    /// solo measurement).
+    fn key(&self, id: BenchmarkId, n: usize) -> CacheKey {
+        CacheKey::new(id, &self.cfg, &self.opts, self.entry_seed(id)).with_corun(n as u32)
+    }
+
     /// Counter block for one entry through the memoizing cache.
     fn counts(&self, id: BenchmarkId) -> PerfCounts {
-        let key = CacheKey::new(id, &self.cfg, &self.opts, self.entry_seed(id));
-        cache::counts_for(key, &self.recorder, || self.simulate(id))
+        cache::counts_for(self.key(id, 1), &self.recorder, || self.simulate(id))
+    }
+
+    /// The metric row [`Characterizer::corun`]`(id, n)` returns (for
+    /// `n == 1`, [`Characterizer::run`]`(id)`), if the memo already
+    /// holds it: counted and reported as the same hit. `None` when it
+    /// would take a simulation; a miss counts and reports nothing.
+    pub fn memoized(&self, id: BenchmarkId, n: usize) -> Option<Metrics> {
+        assert!(n > 0, "co-run width must be at least 1");
+        cache::peek(&self.key(id, n), &self.recorder)
+            .map(|blocks| Metrics::from_counts(id.name(), &blocks[0]))
     }
 
     /// Characterize one benchmark entry.
@@ -234,9 +249,9 @@ impl Characterizer {
     /// through the memoizing cache (keyed on co-run width).
     pub fn corun_counts(&self, id: BenchmarkId, n: usize) -> Vec<PerfCounts> {
         assert!(n > 0, "co-run width must be at least 1");
-        let key =
-            CacheKey::new(id, &self.cfg, &self.opts, self.entry_seed(id)).with_corun(n as u32);
-        cache::counts_vec_for(key, &self.recorder, || self.simulate_corun(id, n))
+        cache::counts_vec_for(self.key(id, n), &self.recorder, || {
+            self.simulate_corun(id, n)
+        })
     }
 
     /// Characterize `n` co-running copies of one entry on a shared-L3
@@ -418,6 +433,33 @@ mod tests {
             1,
             "one block per core"
         );
+    }
+
+    #[test]
+    fn memoized_reports_hits_and_leaves_misses_silent() {
+        // A seed no other test uses, so the key starts cold.
+        let (rec, ring) = Recorder::ring(8);
+        let c = Characterizer::new(
+            CpuConfig::westmere_e5645(),
+            SimOptions::exact(40_000, 10_000),
+            0x3E30_9020,
+        )
+        .with_recorder(rec);
+        assert_eq!(c.memoized(BenchmarkId::Sort, 1), None);
+        assert!(ring.take().is_empty(), "a miss reports nothing");
+        let row = c.run(BenchmarkId::Sort);
+        assert_eq!(ring.count_kind("cache_miss"), 1);
+        ring.take();
+        assert_eq!(c.memoized(BenchmarkId::Sort, 1), Some(row));
+        let events = ring.take();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, "cache_hit");
+        assert_eq!(
+            c.memoized(BenchmarkId::Sort, 2),
+            None,
+            "co-run widths are keyed apart"
+        );
+        assert!(ring.take().is_empty());
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!   ephemeral port with `--port-file` so scripts can find it).
 //! * `--stdio` — serve exactly one session on stdin/stdout (the
 //!   subprocess transport).
-//! * `--workers N` — executor threads (default 2). Each job further
-//!   fans its entries across `dcbench::pool` workers (`DCBENCH_JOBS`).
+//! * `--workers N` — executor threads (default 2). An executor answers
+//!   a job's memo hits itself and fans only its misses across
+//!   `dcbench::pool` workers (`DCBENCH_JOBS`).
 //! * `--queue N` — bounded queue depth (default 64); submissions
 //!   beyond it get `queue_full`.
 //! * `--events PATH` — stream server-wide telemetry (JSON Lines) to

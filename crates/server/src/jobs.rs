@@ -11,21 +11,25 @@
 //!
 //! # Stream determinism
 //!
-//! Entries fan out across [`dcbench::pool`] workers, which would make
-//! the *interleaving* of their cache telemetry nondeterministic. The
-//! job therefore captures each entry's events in a private ring during
-//! the parallel phase and re-emits them into the job log **in entry
-//! order** on the executor thread afterwards: the same spec yields the
-//! same event sequence at any worker count. The `simulations` figure in
-//! a finished job's status is counted from those captured events
-//! (`cache_miss` + `sim_uncached`), so it is exact per job even when
-//! other jobs run concurrently against the same process-wide cache.
+//! A job answers the entries the memo already holds on the
+//! executor thread itself, a sub-µs lookup each, and fans only the
+//! misses out across [`dcbench::pool`] workers, whose interleaving of
+//! cache telemetry would be nondeterministic. Every entry's events are
+//! therefore captured privately (the executor's hits in one ring, each
+//! miss in its own) and re-emitted into the job log **in entry order**
+//! on the executor thread afterwards: the same spec yields the same
+//! event sequence at any worker count and whichever path answered an
+//! entry. The `simulations` figure in a finished job's status is
+//! counted from those captured events (`cache_miss` + `sim_uncached`),
+//! so it is exact per job even when other jobs run concurrently against
+//! the same process-wide cache.
 
 use crate::protocol::JobSpec;
 use dc_cpu::CpuConfig;
 use dc_obs::event::{push_f64, write_json_string};
 use dc_obs::{Event, Recorder, Sink, Value};
-use dcbench::{pool, Characterizer};
+use dc_perfmon::Metrics;
+use dcbench::{pool, BenchmarkId, Characterizer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -33,6 +37,61 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 /// events (`cache_miss` + `store_miss`); 16 leaves headroom for future
 /// kinds without ever dropping.
 const ENTRY_EVENT_CAP: usize = 16;
+
+/// Characterize `entries` at co-run width `corun` under `base`: one
+/// metric row per entry and the telemetry their lookups emitted, both
+/// in entry order (see the module doc). The misses, possibly none, go
+/// through [`pool::parallel_map`]; the hits never leave the calling
+/// thread.
+pub(crate) fn characterize(
+    base: &Characterizer,
+    entries: &[BenchmarkId],
+    corun: usize,
+) -> (Vec<Metrics>, Vec<Event>) {
+    let (rec, ring) = Recorder::ring(ENTRY_EVENT_CAP);
+    let inline = base.clone().with_recorder(rec);
+    let mut answered: Vec<Option<(Metrics, Vec<Event>)>> = entries
+        .iter()
+        .map(|&id| inline.memoized(id, corun).map(|row| (row, ring.take())))
+        .collect();
+    let misses: Vec<(usize, BenchmarkId)> = entries
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| answered[i].is_none())
+        .map(|(i, &id)| (i, id))
+        .collect();
+    let computed = pool::parallel_map(misses, |_, (i, id)| {
+        let (rec, ring) = Recorder::ring(ENTRY_EVENT_CAP);
+        let c = base.clone().with_recorder(rec);
+        let row = if corun == 1 {
+            c.run(id)
+        } else {
+            c.corun(id, corun)
+        };
+        (i, row, ring.take())
+    });
+    for (i, row, events) in computed {
+        answered[i] = Some((row, events));
+    }
+    let mut rows = Vec::with_capacity(entries.len());
+    let mut events = Vec::new();
+    for (row, evs) in answered
+        .into_iter()
+        .map(|a| a.expect("every entry hit or computed"))
+    {
+        rows.push(row);
+        events.extend(evs);
+    }
+    (rows, events)
+}
+
+/// The simulations a run's captured telemetry records.
+pub(crate) fn simulations(events: &[Event]) -> u64 {
+    events
+        .iter()
+        .filter(|e| e.kind == "cache_miss" || e.kind == "sim_uncached")
+        .count() as u64
+}
 
 fn relock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
@@ -269,7 +328,7 @@ impl Job {
     /// anywhere in the measurement pipeline is caught and recorded as
     /// `Failed` — the daemon never dies with a job.
     pub fn run(&self, server_recorder: &Recorder) {
-        let spec = self.spec.clone();
+        let spec = &self.spec;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let base = Characterizer::new(
                 CpuConfig::westmere_e5645(),
@@ -278,32 +337,15 @@ impl Job {
                 spec.sim_options(),
                 spec.seed,
             );
-            // Fan entries across the shared worker pool, capturing each
-            // entry's telemetry privately; re-emit below in entry order
-            // so the job log is deterministic at any worker count.
-            pool::parallel_map(spec.entries.clone(), |_, id| {
-                let (rec, ring) = Recorder::ring(ENTRY_EVENT_CAP);
-                let c = base.clone().with_recorder(rec);
-                let metrics = if spec.corun == 1 {
-                    c.run(id)
-                } else {
-                    c.corun(id, spec.corun as usize)
-                };
-                (metrics, ring.take())
-            })
+            characterize(&base, &spec.entries, spec.corun as usize)
         }));
         match outcome {
-            Ok(results) => {
-                let mut simulations = 0u64;
-                for (_, events) in &results {
-                    for ev in events {
-                        if ev.kind == "cache_miss" || ev.kind == "sim_uncached" {
-                            simulations += 1;
-                        }
-                        self.recorder.emit(ev.ts, ev.kind, ev.fields.clone());
-                    }
+            Ok((rows, events)) => {
+                let simulations = simulations(&events);
+                for ev in events {
+                    self.recorder.emit(ev.ts, ev.kind, ev.fields);
                 }
-                let output = render_output(&spec, results.iter().map(|(m, _)| m));
+                let output = render_output(spec, &rows);
                 let mut st = relock(&self.status);
                 st.state = JobState::Done;
                 st.simulations = simulations;
@@ -365,10 +407,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// float goes through [`push_f64`] (shortest-round-trip `Display`), so
 /// the bytes are identical across processes, worker counts, and cache
 /// temperature.
-fn render_output<'a>(
-    spec: &JobSpec,
-    rows: impl Iterator<Item = &'a dc_perfmon::Metrics>,
-) -> String {
+fn render_output(spec: &JobSpec, rows: &[Metrics]) -> String {
     use std::fmt::Write;
     let mut out = String::with_capacity(256 + spec.entries.len() * 256);
     out.push_str("{\"kind\":\"characterize\",\"entries\":[");
@@ -386,7 +425,7 @@ fn render_output<'a>(
         spec.corun,
         spec.sampled
     );
-    for (i, m) in rows.enumerate() {
+    for (i, m) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }

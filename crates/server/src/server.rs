@@ -14,6 +14,18 @@
 //! line. A malformed line is answered with a structured error and the
 //! loop continues — the only things that end a connection are client
 //! EOF and a successful `shutdown` acknowledgement.
+//!
+//! Each reply leaves in one write: accepted sockets run with
+//! `TCP_NODELAY`, and the connection loop flushes once per request line
+//! it handles, after the whole reply is buffered. Small segments of one
+//! reply would otherwise meet Nagle's algorithm on this side and a
+//! delayed ACK on the client's, a stall of tens of milliseconds. The
+//! one exception is a `stream` of a job still running, which flushes
+//! each batch of events as it lands so a live follower sees them.
+//!
+//! Finished jobs are retained for `status` and `stream` up to
+//! [`MAX_FINISHED_JOBS`]; past that, each job that finishes evicts the
+//! oldest finished one, whose name then answers `unknown_job`.
 
 use crate::jobs::Job;
 use crate::protocol::{
@@ -24,17 +36,17 @@ use dc_mapreduce::pool::SpmcQueue;
 use dc_obs::event::write_json_string;
 use dc_obs::metrics::{self, Clock, Counter, Histogram, MonotonicClock, Registry};
 use dc_obs::{Recorder, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufRead, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Daemon tunables.
 pub struct ServerConfig {
     /// Executor threads draining the job queue (each job additionally
-    /// fans its entries across `dcbench::pool` workers).
+    /// fans its memo misses across `dcbench::pool` workers).
     pub workers: usize,
     /// Bounded queue depth: submissions beyond this many *queued* jobs
     /// are rejected with [`code::QUEUE_FULL`] instead of buffering
@@ -127,12 +139,25 @@ impl ServerMetrics {
     }
 }
 
+/// Finished jobs (done, cancelled or failed) kept for `status` and
+/// `stream`. When one more finishes, the oldest finished job is
+/// evicted; queued and running jobs are never evicted.
+pub const MAX_FINISHED_JOBS: usize = 1024;
+
+/// The jobs a name can reach.
+#[derive(Default)]
+struct JobTable {
+    by_name: HashMap<String, Arc<Job>>,
+    /// Names of finished jobs still in `by_name`, oldest first.
+    finished: VecDeque<String>,
+}
+
 struct Inner {
     queue: SpmcQueue<Arc<Job>>,
     /// Jobs physically sitting in the queue (the bounded-ness check).
     queued: AtomicUsize,
     queue_cap: usize,
-    jobs: Mutex<HashMap<String, Arc<Job>>>,
+    jobs: Mutex<JobTable>,
     next_job: AtomicU64,
     shutdown: AtomicBool,
     recorder: Recorder,
@@ -156,7 +181,7 @@ impl Server {
             queue: SpmcQueue::new(),
             queued: AtomicUsize::new(0),
             queue_cap: cfg.queue_cap.max(1),
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(JobTable::default()),
             next_job: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             recorder: cfg.recorder,
@@ -210,7 +235,7 @@ impl Server {
         let mut used_ids: HashSet<RequestId> = HashSet::new();
         let mut line = Vec::with_capacity(1024);
         loop {
-            match read_capped_line(reader, &mut line) {
+            let shutdown_acked = match read_capped_line(reader, &mut line) {
                 Err(_) | Ok(LineRead::Eof) => return,
                 Ok(LineRead::TooLong) => {
                     self.reject(code::LINE_TOO_LONG);
@@ -218,19 +243,17 @@ impl Server {
                         code::LINE_TOO_LONG,
                         format!("request lines are capped at {MAX_LINE_BYTES} bytes"),
                     );
-                    if write_line(writer, &error_response(None, &err)).is_err() {
-                        return;
-                    }
+                    write_line(writer, &error_response(None, &err)).map(|()| false)
                 }
                 Ok(LineRead::Line) => {
                     let text = String::from_utf8_lossy(&line).into_owned();
-                    let shutdown_acked = self.handle_line(&text, &mut used_ids, writer);
-                    match shutdown_acked {
-                        Err(_) => return,
-                        Ok(true) => return,
-                        Ok(false) => {}
-                    }
+                    self.handle_line(&text, &mut used_ids, writer)
                 }
+            };
+            // One flush per request line: the whole reply is one write.
+            match shutdown_acked.and_then(|acked| writer.flush().map(|()| acked)) {
+                Ok(false) => {}
+                Ok(true) | Err(_) => return,
             }
         }
     }
@@ -257,6 +280,9 @@ impl Server {
                 break;
             }
             let Ok(stream) = stream else { continue };
+            // Replies are flushed whole, so there is nothing for Nagle's
+            // algorithm to coalesce, only a delayed ACK to wait for.
+            let _ = stream.set_nodelay(true);
             let server = self.clone();
             std::thread::spawn(move || {
                 let Ok(read_half) = stream.try_clone() else {
@@ -300,9 +326,8 @@ impl Server {
 
     fn job(&self, name: &str) -> Result<Arc<Job>, ProtoError> {
         self.inner
-            .jobs
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
+            .jobs()
+            .by_name
             .get(name)
             .cloned()
             .ok_or_else(|| ProtoError::new(code::UNKNOWN_JOB, format!("no job named {name:?}")))
@@ -369,9 +394,8 @@ impl Server {
                 let job = Job::new(format!("job-{n}"), spec.clone());
                 job.set_enqueued_at(self.inner.metrics.clock.now_micros());
                 self.inner
-                    .jobs
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
+                    .jobs()
+                    .by_name
                     .insert(job.name.clone(), Arc::clone(&job));
                 self.emit_accepted("submit");
                 job.emit_queued(&self.inner.recorder);
@@ -397,6 +421,7 @@ impl Server {
                         format!("cannot cancel {name}: job is {}", state.as_str()),
                     )
                 })?;
+                self.inner.retire(&job);
                 self.emit_accepted("cancel");
                 write_line(writer, &ok_response(&req.id, &job.status_result()))?;
                 Ok(false)
@@ -406,21 +431,21 @@ impl Server {
                 self.emit_accepted("stream");
                 let mut sent = 0usize;
                 loop {
+                    // Events and the closed flag are read under one
+                    // lock, and nothing is logged after the close, so a
+                    // closed read is the whole rest of the log.
                     let (events, closed) = job.log.wait_from(sent);
                     for ev in &events {
                         write_line(writer, &event_frame(&req.id, ev))?;
                     }
                     sent += events.len();
-                    writer.flush()?;
-                    if closed && events.is_empty() {
+                    if closed {
                         break;
                     }
-                    if closed {
-                        // Drain once more in case the final events and
-                        // the close raced; the next wait returns
-                        // immediately either way.
-                        continue;
-                    }
+                    // A live follower sees each batch as it lands; a
+                    // finished job's reply leaves whole at the
+                    // connection loop's flush.
+                    writer.flush()?;
                 }
                 let mut result = String::new();
                 result.push_str("{\"job\":");
@@ -453,7 +478,6 @@ impl Server {
                     writer,
                     &ok_response(&req.id, "{\"state\":\"shutting_down\"}"),
                 )?;
-                writer.flush()?;
                 Ok(true)
             }
         }
@@ -479,6 +503,25 @@ impl From<io::Error> for Either {
     }
 }
 
+impl Inner {
+    fn jobs(&self) -> MutexGuard<'_, JobTable> {
+        self.jobs.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Record that `job` just finished, evicting the oldest finished
+    /// job beyond [`MAX_FINISHED_JOBS`]. A `stream` already following
+    /// an evicted job holds its own `Arc` and runs to the end.
+    fn retire(&self, job: &Job) {
+        let mut jobs = self.jobs();
+        jobs.finished.push_back(job.name.clone());
+        if jobs.finished.len() > MAX_FINISHED_JOBS {
+            if let Some(oldest) = jobs.finished.pop_front() {
+                jobs.by_name.remove(&oldest);
+            }
+        }
+    }
+}
+
 fn executor_loop(inner: &Inner) {
     while let Some(job) = inner.queue.pop() {
         inner.queued.fetch_sub(1, Ordering::SeqCst);
@@ -486,7 +529,9 @@ fn executor_loop(inner: &Inner) {
             // Shutdown cancels whatever is still queued; `close()` lets
             // the queue drain, so every accepted job still reaches a
             // terminal state and streaming clients are released.
-            let _ = job.cancel(&inner.recorder);
+            if job.cancel(&inner.recorder).is_ok() {
+                inner.retire(&job);
+            }
             continue;
         }
         if job.try_start() {
@@ -505,14 +550,15 @@ fn executor_loop(inner: &Inner) {
                 .metrics
                 .service_time
                 .observe(finished.saturating_sub(started));
+            inner.retire(&job);
         }
     }
 }
 
+/// Buffer one reply line; the connection loop flushes.
 fn write_line(writer: &mut impl Write, line: &str) -> io::Result<()> {
     writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
+    writer.write_all(b"\n")
 }
 
 /// Outcome of one capped line read.
@@ -722,6 +768,141 @@ mod tests {
         // Only daemon metrics live in the injected registry — none of
         // the process-global cache/pool families leak in.
         assert!(!lines[2].contains("dcbench_"));
+        server.begin_shutdown();
+        server.wait();
+    }
+
+    /// A writer that notes, at each flush, how many bytes were written
+    /// so far.
+    #[derive(Default)]
+    struct FlushLog {
+        bytes: Vec<u8>,
+        flushes: Vec<usize>,
+    }
+
+    impl Write for FlushLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes.push(self.bytes.len());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_request_line_is_answered_by_exactly_one_flush() {
+        let server = Server::start(ServerConfig {
+            registry: Arc::new(Registry::new()),
+            ..ServerConfig::default()
+        });
+        // Run a three-entry job to its end first, so the scripted
+        // `stream` replays a closed log of five events.
+        let job = "{\"entries\":[\"Sort\",\"Grep\",\"K-means\"],\"seed\":920005}";
+        let first = session(
+            &server,
+            &format!(
+                "{{\"id\":1,\"verb\":\"submit\",\"job\":{job}}}\n\
+                 {{\"id\":2,\"verb\":\"stream\",\"job\":\"job-1\"}}\n"
+            ),
+        );
+        assert!(first[first.len() - 1].contains("\"events\":5"), "{first:?}");
+
+        let script = [
+            format!("{{\"id\":1,\"verb\":\"submit\",\"job\":{job}}}"),
+            "{\"id\":2,\"verb\":\"status\",\"job\":\"job-1\"}".to_string(),
+            "{\"id\":3,\"verb\":\"stream\",\"job\":\"job-1\"}".to_string(),
+            "garbage".to_string(),
+            "x".repeat(MAX_LINE_BYTES + 1),
+            "{\"id\":4,\"verb\":\"stats\"}".to_string(),
+        ];
+        // Reply lines per request: the stream sends five frames and
+        // its final reply.
+        let replies = [1, 1, 6, 1, 1, 1];
+        let input = script.join("\n") + "\n";
+        let mut out = FlushLog::default();
+        server.serve_connection(&mut io::BufReader::new(input.as_bytes()), &mut out);
+        assert_eq!(
+            out.flushes.len(),
+            script.len(),
+            "one flush per request line: {:?}",
+            out.flushes
+        );
+        let mut lines = 0;
+        for (&at, n) in out.flushes.iter().zip(replies) {
+            lines += n;
+            let flushed = &out.bytes[..at];
+            assert!(flushed.ends_with(b"\n"), "a flush ends on a whole reply");
+            assert_eq!(
+                flushed.iter().filter(|&&b| b == b'\n').count(),
+                lines,
+                "every reply is complete at its own flush"
+            );
+        }
+        assert_eq!(out.flushes.last(), Some(&out.bytes.len()));
+
+        // The shutdown acknowledgement leaves in one flush too.
+        let mut out = FlushLog::default();
+        let shutdown = b"{\"id\":1,\"verb\":\"shutdown\"}\n";
+        server.serve_connection(&mut io::BufReader::new(&shutdown[..]), &mut out);
+        assert_eq!(out.flushes, vec![out.bytes.len()]);
+        server.wait();
+    }
+
+    #[test]
+    fn finished_jobs_beyond_the_bound_are_evicted_oldest_first() {
+        use crate::protocol::{JobSpec, Window};
+        let evicted = 76;
+        let total = MAX_FINISHED_JOBS + evicted;
+        let spec = JobSpec {
+            entries: vec![dcbench::BenchmarkId::Sort],
+            window: Window::Quick,
+            seed: 920_006,
+            corun: 1,
+            sampled: false,
+        };
+        // Warm the memo outside the daemon so every job is a memo hit.
+        let warm = Job::new("warm".into(), spec);
+        assert!(warm.try_start());
+        warm.run(&Recorder::disabled());
+
+        // One executor pops the FIFO queue, so jobs finish in
+        // submission order and `job-{total}` finishing means all did.
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            queue_cap: total,
+            registry: Arc::new(Registry::new()),
+            ..ServerConfig::default()
+        });
+        let submits: String = (1..=total)
+            .map(|i| {
+                format!(
+                    "{{\"id\":{i},\"verb\":\"submit\",\"job\":{{\"entries\":[\"Sort\"],\"seed\":920006}}}}\n"
+                )
+            })
+            .collect();
+        let accepted = session(&server, &submits);
+        assert!(accepted.iter().all(|l| l.contains("\"ok\":true")));
+        let status = |n: usize| {
+            session(
+                &server,
+                &format!("{{\"id\":1,\"verb\":\"status\",\"job\":\"job-{n}\"}}\n"),
+            )
+            .remove(0)
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+        while !status(total).contains("\"state\":\"done\"") {
+            assert!(std::time::Instant::now() < deadline, "jobs never finished");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        for n in [1, evicted] {
+            assert!(status(n).contains("\"unknown_job\""), "job-{n} is evicted");
+        }
+        for n in [evicted + 1, total] {
+            assert!(status(n).contains("\"state\":\"done\""), "job-{n} is kept");
+        }
         server.begin_shutdown();
         server.wait();
     }

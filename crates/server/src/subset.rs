@@ -17,13 +17,8 @@
 
 use crate::protocol::{code, ProtoError, SubsetSpec};
 use dc_cpu::CpuConfig;
-use dc_obs::Recorder;
 use dcbench::registry::BenchmarkId;
-use dcbench::{pool, Characterizer};
-
-/// Per-entry telemetry ring capacity (same bound as the job executor:
-/// an entry lookup emits at most two events).
-const ENTRY_EVENT_CAP: usize = 16;
+use dcbench::Characterizer;
 
 /// Compute Exhibit SS for `spec`. Returns the rendered result object
 /// `{"output":…,"simulations":N}` where `output` is the canonical
@@ -39,24 +34,12 @@ pub fn run(spec: &SubsetSpec) -> Result<String, ProtoError> {
             spec.window.sim_options(),
             spec.seed,
         );
-        // Fan the eleven entries across the shared worker pool with a
-        // private telemetry ring per entry, exactly like the job
-        // executor: the simulation count stays exact per request even
-        // when jobs run concurrently against the same cache.
-        let results = pool::parallel_map(BenchmarkId::data_analysis().to_vec(), move |_, id| {
-            let (rec, ring) = Recorder::ring(ENTRY_EVENT_CAP);
-            let c = base.clone().with_recorder(rec);
-            (c.run(id), ring.take())
-        });
-        let mut simulations = 0u64;
-        let mut rows = Vec::with_capacity(results.len());
-        for (metrics, events) in results {
-            simulations += events
-                .iter()
-                .filter(|e| e.kind == "cache_miss" || e.kind == "sim_uncached")
-                .count() as u64;
-            rows.push(metrics);
-        }
+        // The job executor's lookup path: hits answered on this thread,
+        // misses fanned across the shared pool, telemetry captured per
+        // request so the simulation count stays exact even when jobs
+        // run concurrently against the same cache.
+        let (rows, events) = crate::jobs::characterize(&base, BenchmarkId::data_analysis(), 1);
+        let simulations = crate::jobs::simulations(&events);
         let subset = dcbench::stats::subset_of_metrics(&rows, spec.k as usize, spec.linkage);
         let output = subset.to_json(spec.window.as_str(), spec.seed);
         let mut result = String::with_capacity(output.len() + 32);
