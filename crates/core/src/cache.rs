@@ -612,7 +612,9 @@ mod tests {
         assert_ne!(base, key(2));
         let fatter_l3 = CacheKey::new(
             BenchmarkId::Sort,
-            &CpuConfig::westmere_e5645().with_l3_bytes(24 << 20),
+            &CpuConfig::westmere_e5645()
+                .try_with_l3_bytes(24 << 20)
+                .expect("a whole number of L3 sets"),
             &SimOptions::quick(),
             1,
         );

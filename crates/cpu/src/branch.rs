@@ -247,7 +247,11 @@ mod tests {
 
     #[test]
     fn static_not_taken_predictor() {
-        let mut p = BranchPredictor::new(&CpuConfig::westmere_e5645().with_predictor_bits(0));
+        let mut p = BranchPredictor::new(
+            &CpuConfig::westmere_e5645()
+                .try_with_predictor_bits(0)
+                .expect("a history the tables honour"),
+        );
         for _ in 0..100 {
             p.predict_and_train(0x10, false, 0);
         }

@@ -247,8 +247,9 @@ impl CpuConfig {
     /// rejects them instead.
     pub const MAX_PREDICTOR_BITS: u32 = 20;
 
-    /// Fallible form of [`CpuConfig::with_l3_bytes`]: the capacity must
-    /// be a positive whole number of sets (a multiple of
+    /// Same machine with a different last-level cache capacity (for the
+    /// paper's LLC-sizing recommendation study). The capacity must be a
+    /// positive whole number of sets (a multiple of
     /// `line_bytes * assoc`), otherwise [`CacheConfig::sets`] would
     /// silently truncate the geometry.
     pub fn try_with_l3_bytes(mut self, bytes: u64) -> Result<Self, ConfigError> {
@@ -271,8 +272,8 @@ impl CpuConfig {
         Ok(self)
     }
 
-    /// Fallible form of [`CpuConfig::with_rob_entries`]: a zero-entry
-    /// re-order buffer can never dispatch.
+    /// Same machine with a different ROB size (OoO-stall ablation). A
+    /// zero-entry re-order buffer can never dispatch.
     pub fn try_with_rob_entries(mut self, entries: u32) -> Result<Self, ConfigError> {
         if entries == 0 {
             return Err(ConfigError {
@@ -285,8 +286,8 @@ impl CpuConfig {
         Ok(self)
     }
 
-    /// Fallible form of [`CpuConfig::with_rs_entries`]: a zero-entry
-    /// reservation station can never issue.
+    /// Same machine with a different RS size (OoO-stall ablation). A
+    /// zero-entry reservation station can never issue.
     pub fn try_with_rs_entries(mut self, entries: u32) -> Result<Self, ConfigError> {
         if entries == 0 {
             return Err(ConfigError {
@@ -299,9 +300,10 @@ impl CpuConfig {
         Ok(self)
     }
 
-    /// Fallible form of [`CpuConfig::with_predictor_bits`]: history
-    /// longer than [`CpuConfig::MAX_PREDICTOR_BITS`] would be silently
-    /// clamped by the predictor tables.
+    /// Same machine with a simpler branch predictor (history bits;
+    /// 0 = static not-taken). History longer than
+    /// [`CpuConfig::MAX_PREDICTOR_BITS`] would be silently clamped by
+    /// the predictor tables.
     pub fn try_with_predictor_bits(mut self, bits: u32) -> Result<Self, ConfigError> {
         if bits > Self::MAX_PREDICTOR_BITS {
             return Err(ConfigError {
@@ -314,8 +316,8 @@ impl CpuConfig {
         Ok(self)
     }
 
-    /// Fallible form of [`CpuConfig::with_cores`]: a chip needs at
-    /// least one core behind the shared L3.
+    /// Same machine with a different core count behind the shared L3;
+    /// a chip needs at least one core.
     pub fn try_with_cores(mut self, cores: u32) -> Result<Self, ConfigError> {
         if cores == 0 {
             return Err(ConfigError {
@@ -328,62 +330,10 @@ impl CpuConfig {
         Ok(self)
     }
 
-    /// Same machine with a different last-level cache capacity (for the
-    /// paper's LLC-sizing recommendation study).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a capacity [`CpuConfig::try_with_l3_bytes`] rejects.
-    pub fn with_l3_bytes(self, bytes: u64) -> Self {
-        self.try_with_l3_bytes(bytes)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Same machine with a different ROB size (OoO-stall ablation).
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero entries ([`CpuConfig::try_with_rob_entries`]).
-    pub fn with_rob_entries(self, entries: u32) -> Self {
-        self.try_with_rob_entries(entries)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Same machine with a different RS size (OoO-stall ablation).
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero entries ([`CpuConfig::try_with_rs_entries`]).
-    pub fn with_rs_entries(self, entries: u32) -> Self {
-        self.try_with_rs_entries(entries)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Same machine with a simpler branch predictor (history bits;
-    /// 0 = static not-taken).
-    ///
-    /// # Panics
-    ///
-    /// Panics past [`CpuConfig::MAX_PREDICTOR_BITS`]
-    /// ([`CpuConfig::try_with_predictor_bits`]).
-    pub fn with_predictor_bits(self, bits: u32) -> Self {
-        self.try_with_predictor_bits(bits)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Same machine with the prefetcher switched on/off.
     pub fn with_prefetch(mut self, enabled: bool) -> Self {
         self.prefetch.enabled = enabled;
         self
-    }
-
-    /// Same machine with a different core count behind the shared L3.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero cores ([`CpuConfig::try_with_cores`]).
-    pub fn with_cores(self, cores: u32) -> Self {
-        self.try_with_cores(cores).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Stable 64-bit digest of the complete machine description.
@@ -443,7 +393,10 @@ mod tests {
         );
         assert_ne!(
             base.stable_hash(),
-            base.clone().with_l3_bytes(6 << 20).stable_hash()
+            base.clone()
+                .try_with_l3_bytes(6 << 20)
+                .expect("a whole number of L3 sets")
+                .stable_hash()
         );
         assert_ne!(
             base.stable_hash(),
@@ -451,7 +404,10 @@ mod tests {
         );
         assert_ne!(
             base.stable_hash(),
-            base.clone().with_predictor_bits(0).stable_hash()
+            base.clone()
+                .try_with_predictor_bits(0)
+                .expect("a history the tables honour")
+                .stable_hash()
         );
     }
 
@@ -503,18 +459,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid l3.size_bytes")]
-    fn infallible_builder_panics_on_rejected_input() {
-        let _ = CpuConfig::westmere_e5645().with_l3_bytes(12345);
-    }
-
-    #[test]
     fn ablation_builders() {
         let c = CpuConfig::westmere_e5645()
-            .with_l3_bytes(6 << 20)
-            .with_rob_entries(64)
-            .with_rs_entries(18)
-            .with_predictor_bits(0)
+            .try_with_l3_bytes(6 << 20)
+            .expect("a whole number of L3 sets")
+            .try_with_rob_entries(64)
+            .expect("a nonempty ROB")
+            .try_with_rs_entries(18)
+            .expect("a nonempty RS")
+            .try_with_predictor_bits(0)
+            .expect("a history the tables honour")
             .with_prefetch(false);
         assert_eq!(c.l3.size_bytes, 6 << 20);
         assert_eq!(c.core.rob_entries, 64);

@@ -536,8 +536,8 @@ pub(crate) struct Pipeline {
     /// Instructions retired inside completed measured spans — the
     /// extrapolation denominator.
     clean_instr: u64,
-    /// Stall-cycle deltas inside completed measured spans, in the order
-    /// fetch / rat / rs / rob / load-buffer / store-buffer.
+    /// Stall-cycle deltas inside completed measured spans, in
+    /// [`PerfCounts::stalls`] order.
     clean_stalls: [u64; 6],
     /// Counter snapshot taken when the current measured span opened.
     span_start_cycle: u64,
@@ -619,25 +619,12 @@ impl Pipeline {
         }
     }
 
-    /// The six stall counters in `clean_stalls` order.
-    #[inline]
-    fn stall_snapshot(&self) -> [u64; 6] {
-        [
-            self.counts.fetch_stall_cycles,
-            self.counts.rat_stall_cycles,
-            self.counts.rs_full_stall_cycles,
-            self.counts.rob_full_stall_cycles,
-            self.counts.load_buf_stall_cycles,
-            self.counts.store_buf_stall_cycles,
-        ]
-    }
-
     /// Open a measured span at `cycle`: record the counter baselines
     /// the matching [`Pipeline::close_span`] will difference against.
     fn open_span(&mut self, cycle: u64) {
         self.span_start_cycle = cycle;
         self.span_start_instr = self.counts.instructions;
-        self.span_start_stalls = self.stall_snapshot();
+        self.span_start_stalls = self.counts.stalls();
     }
 
     /// Close the measured span at `cycle` and fold its deltas into the
@@ -645,7 +632,7 @@ impl Pipeline {
     fn close_span(&mut self, cycle: u64) {
         self.clean_cycles += cycle - self.span_start_cycle;
         self.clean_instr += self.counts.instructions - self.span_start_instr;
-        let now = self.stall_snapshot();
+        let now = self.counts.stalls();
         for (acc, (n, s)) in self
             .clean_stalls
             .iter_mut()
@@ -944,16 +931,7 @@ impl Pipeline {
         // ---- Stall attribution (paper-style: a fully blocked rename
         // cycle is charged to its first cause) ----
         if renamed == 0 {
-            let draining = self.trace_done && self.pending.is_none() && self.decode_q.is_empty();
-            match block {
-                Block::Fetch if !draining => self.counts.fetch_stall_cycles += 1,
-                Block::Rat => self.counts.rat_stall_cycles += 1,
-                Block::Rob => self.counts.rob_full_stall_cycles += 1,
-                Block::Rs => self.counts.rs_full_stall_cycles += 1,
-                Block::Load => self.counts.load_buf_stall_cycles += 1,
-                Block::Store => self.counts.store_buf_stall_cycles += 1,
-                _ => {}
-            }
+            self.charge_idle(block, 1);
         }
 
         // Termination: trace drained and backend empty.
@@ -1139,8 +1117,11 @@ impl Pipeline {
         Some((bound, block))
     }
 
-    /// Bulk-charge `cycles` skipped idle cycles to the stall counter
-    /// the stepped loop would have charged them to.
+    /// Charge `cycles` fully blocked rename cycles to `block`'s stall
+    /// counter: one per stepped cycle, or a bulk charge for skipped
+    /// idle cycles. A starved front end is not charged once the trace
+    /// has drained.
+    #[inline]
     pub(crate) fn charge_idle(&mut self, block: Block, cycles: u64) {
         match block {
             Block::Fetch => {
@@ -1227,7 +1208,7 @@ impl Pipeline {
                 // The window ended inside an open measured span.
                 span_cycles += self.final_cycle - self.span_start_cycle;
                 span_instr += self.counts.instructions - self.span_start_instr;
-                let now = self.stall_snapshot();
+                let now = self.counts.stalls();
                 for (acc, (n, s)) in span_stalls
                     .iter_mut()
                     .zip(now.iter().zip(&self.span_start_stalls))
@@ -1239,12 +1220,9 @@ impl Pipeline {
             if span_instr > 0 {
                 let scale = |v: u64| ((v as u128 * total) / span_instr as u128) as u64;
                 counts.cycles = scale(span_cycles);
-                counts.fetch_stall_cycles = scale(span_stalls[0]);
-                counts.rat_stall_cycles = scale(span_stalls[1]);
-                counts.rs_full_stall_cycles = scale(span_stalls[2]);
-                counts.rob_full_stall_cycles = scale(span_stalls[3]);
-                counts.load_buf_stall_cycles = scale(span_stalls[4]);
-                counts.store_buf_stall_cycles = scale(span_stalls[5]);
+                for (slot, v) in counts.stalls_mut().into_iter().zip(span_stalls) {
+                    *slot = scale(v);
+                }
             } else {
                 // Degenerate window that never completed a measured
                 // span: fall back to scaling the raw detailed counters.
@@ -1252,12 +1230,9 @@ impl Pipeline {
                 if detailed > 0 {
                     let scale = |v: u64| ((v as u128 * total) / detailed) as u64;
                     counts.cycles = scale(counts.cycles);
-                    counts.fetch_stall_cycles = scale(counts.fetch_stall_cycles);
-                    counts.rat_stall_cycles = scale(counts.rat_stall_cycles);
-                    counts.rob_full_stall_cycles = scale(counts.rob_full_stall_cycles);
-                    counts.rs_full_stall_cycles = scale(counts.rs_full_stall_cycles);
-                    counts.load_buf_stall_cycles = scale(counts.load_buf_stall_cycles);
-                    counts.store_buf_stall_cycles = scale(counts.store_buf_stall_cycles);
+                    for slot in counts.stalls_mut() {
+                        *slot = scale(*slot);
+                    }
                 }
             }
         }
@@ -1612,7 +1587,9 @@ mod tests {
         );
         let small = simulate(
             mk(),
-            &CpuConfig::westmere_e5645().with_rob_entries(32),
+            &CpuConfig::westmere_e5645()
+                .try_with_rob_entries(32)
+                .expect("a nonempty ROB"),
             &SimOptions::exact(150_000, 15_000),
         );
         assert!(small.ipc() <= big.ipc());
@@ -1687,7 +1664,8 @@ mod tests {
                 mk(),
                 &CpuConfig::westmere_e5645()
                     .with_prefetch(false)
-                    .with_rob_entries(rob),
+                    .try_with_rob_entries(rob)
+                    .expect("a nonempty ROB"),
                 &opts,
             )
         };

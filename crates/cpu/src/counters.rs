@@ -1,7 +1,10 @@
 //! Performance-counter state: every event the paper reads, in raw form.
 //!
 //! `dc-perfmon` layers the event catalogue and derived metrics on top;
-//! this struct is what the core fills in during simulation.
+//! this struct is what the core fills in during simulation. This is
+//! the one module that spells out the struct's fields and their order
+//! ([`to_array`], [`from_array`]); code that needs every field, the
+//! store's on-disk counter arrays included, goes through those two.
 
 /// Raw event counts collected by one simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,40 +76,132 @@ pub struct PerfCounts {
     pub stores: u64,
 }
 
+/// Number of `u64` fields in [`PerfCounts`]: the length of
+/// [`to_array`]'s array, and of a counter block in the store format.
+pub const COUNTER_FIELDS: usize = 29;
+
+/// Flatten one counter block into its fields in declaration order.
+/// The destructuring has no `..` rest pattern on purpose: a new
+/// `PerfCounts` field breaks this build until the array (and with it
+/// the store format) places it.
+pub fn to_array(c: &PerfCounts) -> [u64; COUNTER_FIELDS] {
+    let PerfCounts {
+        cycles,
+        instructions,
+        user_instructions,
+        kernel_instructions,
+        fetch_stall_cycles,
+        rat_stall_cycles,
+        rs_full_stall_cycles,
+        rob_full_stall_cycles,
+        load_buf_stall_cycles,
+        store_buf_stall_cycles,
+        l1i_accesses,
+        l1i_misses,
+        itlb_accesses,
+        itlb_misses,
+        itlb_walks,
+        l1d_accesses,
+        l1d_misses,
+        dtlb_accesses,
+        dtlb_misses,
+        dtlb_walks,
+        l2_accesses,
+        l2_misses,
+        l3_accesses,
+        l3_misses,
+        prefetches,
+        branches,
+        branch_mispredicts,
+        loads,
+        stores,
+    } = *c;
+    [
+        cycles,
+        instructions,
+        user_instructions,
+        kernel_instructions,
+        fetch_stall_cycles,
+        rat_stall_cycles,
+        rs_full_stall_cycles,
+        rob_full_stall_cycles,
+        load_buf_stall_cycles,
+        store_buf_stall_cycles,
+        l1i_accesses,
+        l1i_misses,
+        itlb_accesses,
+        itlb_misses,
+        itlb_walks,
+        l1d_accesses,
+        l1d_misses,
+        dtlb_accesses,
+        dtlb_misses,
+        dtlb_walks,
+        l2_accesses,
+        l2_misses,
+        l3_accesses,
+        l3_misses,
+        prefetches,
+        branches,
+        branch_mispredicts,
+        loads,
+        stores,
+    ]
+}
+
+/// Rebuild a counter block from its declaration-order array (the
+/// inverse of [`to_array`]).
+pub fn from_array(a: &[u64; COUNTER_FIELDS]) -> PerfCounts {
+    PerfCounts {
+        cycles: a[0],
+        instructions: a[1],
+        user_instructions: a[2],
+        kernel_instructions: a[3],
+        fetch_stall_cycles: a[4],
+        rat_stall_cycles: a[5],
+        rs_full_stall_cycles: a[6],
+        rob_full_stall_cycles: a[7],
+        load_buf_stall_cycles: a[8],
+        store_buf_stall_cycles: a[9],
+        l1i_accesses: a[10],
+        l1i_misses: a[11],
+        itlb_accesses: a[12],
+        itlb_misses: a[13],
+        itlb_walks: a[14],
+        l1d_accesses: a[15],
+        l1d_misses: a[16],
+        dtlb_accesses: a[17],
+        dtlb_misses: a[18],
+        dtlb_walks: a[19],
+        l2_accesses: a[20],
+        l2_misses: a[21],
+        l3_accesses: a[22],
+        l3_misses: a[23],
+        prefetches: a[24],
+        branches: a[25],
+        branch_mispredicts: a[26],
+        loads: a[27],
+        stores: a[28],
+    }
+}
+
+/// Combine two blocks field by field.
+#[inline]
+fn zip_with(a: &PerfCounts, b: &PerfCounts, f: impl Fn(u64, u64) -> u64) -> PerfCounts {
+    let (a, b) = (to_array(a), to_array(b));
+    from_array(&std::array::from_fn(|i| f(a[i], b[i])))
+}
+
 impl PerfCounts {
     /// Add every event from `other` into `self` (chip-level
     /// aggregation across cores; `cycles` sums like the rest, so
     /// divide by the core count for wall-clock-style cycle figures).
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if any counter overflows.
     pub fn accumulate(&mut self, other: &PerfCounts) {
-        self.cycles += other.cycles;
-        self.instructions += other.instructions;
-        self.user_instructions += other.user_instructions;
-        self.kernel_instructions += other.kernel_instructions;
-        self.fetch_stall_cycles += other.fetch_stall_cycles;
-        self.rat_stall_cycles += other.rat_stall_cycles;
-        self.rs_full_stall_cycles += other.rs_full_stall_cycles;
-        self.rob_full_stall_cycles += other.rob_full_stall_cycles;
-        self.load_buf_stall_cycles += other.load_buf_stall_cycles;
-        self.store_buf_stall_cycles += other.store_buf_stall_cycles;
-        self.l1i_accesses += other.l1i_accesses;
-        self.l1i_misses += other.l1i_misses;
-        self.itlb_accesses += other.itlb_accesses;
-        self.itlb_misses += other.itlb_misses;
-        self.itlb_walks += other.itlb_walks;
-        self.l1d_accesses += other.l1d_accesses;
-        self.l1d_misses += other.l1d_misses;
-        self.dtlb_accesses += other.dtlb_accesses;
-        self.dtlb_misses += other.dtlb_misses;
-        self.dtlb_walks += other.dtlb_walks;
-        self.l2_accesses += other.l2_accesses;
-        self.l2_misses += other.l2_misses;
-        self.l3_accesses += other.l3_accesses;
-        self.l3_misses += other.l3_misses;
-        self.prefetches += other.prefetches;
-        self.branches += other.branches;
-        self.branch_mispredicts += other.branch_mispredicts;
-        self.loads += other.loads;
-        self.stores += other.stores;
+        *self = zip_with(self, other, |a, b| a + b);
     }
 
     /// Event-wise difference `self - earlier`, for interval series:
@@ -122,37 +217,7 @@ impl PerfCounts {
     /// `self`'s (i.e. the arguments are not snapshots of one run in
     /// chronological order).
     pub fn delta_since(&self, earlier: &PerfCounts) -> PerfCounts {
-        PerfCounts {
-            cycles: self.cycles - earlier.cycles,
-            instructions: self.instructions - earlier.instructions,
-            user_instructions: self.user_instructions - earlier.user_instructions,
-            kernel_instructions: self.kernel_instructions - earlier.kernel_instructions,
-            fetch_stall_cycles: self.fetch_stall_cycles - earlier.fetch_stall_cycles,
-            rat_stall_cycles: self.rat_stall_cycles - earlier.rat_stall_cycles,
-            rs_full_stall_cycles: self.rs_full_stall_cycles - earlier.rs_full_stall_cycles,
-            rob_full_stall_cycles: self.rob_full_stall_cycles - earlier.rob_full_stall_cycles,
-            load_buf_stall_cycles: self.load_buf_stall_cycles - earlier.load_buf_stall_cycles,
-            store_buf_stall_cycles: self.store_buf_stall_cycles - earlier.store_buf_stall_cycles,
-            l1i_accesses: self.l1i_accesses - earlier.l1i_accesses,
-            l1i_misses: self.l1i_misses - earlier.l1i_misses,
-            itlb_accesses: self.itlb_accesses - earlier.itlb_accesses,
-            itlb_misses: self.itlb_misses - earlier.itlb_misses,
-            itlb_walks: self.itlb_walks - earlier.itlb_walks,
-            l1d_accesses: self.l1d_accesses - earlier.l1d_accesses,
-            l1d_misses: self.l1d_misses - earlier.l1d_misses,
-            dtlb_accesses: self.dtlb_accesses - earlier.dtlb_accesses,
-            dtlb_misses: self.dtlb_misses - earlier.dtlb_misses,
-            dtlb_walks: self.dtlb_walks - earlier.dtlb_walks,
-            l2_accesses: self.l2_accesses - earlier.l2_accesses,
-            l2_misses: self.l2_misses - earlier.l2_misses,
-            l3_accesses: self.l3_accesses - earlier.l3_accesses,
-            l3_misses: self.l3_misses - earlier.l3_misses,
-            prefetches: self.prefetches - earlier.prefetches,
-            branches: self.branches - earlier.branches,
-            branch_mispredicts: self.branch_mispredicts - earlier.branch_mispredicts,
-            loads: self.loads - earlier.loads,
-            stores: self.stores - earlier.stores,
-        }
+        zip_with(self, earlier, |a, b| a - b)
     }
 
     /// Instructions per cycle.
@@ -243,15 +308,37 @@ impl PerfCounts {
         }
     }
 
+    /// The six stall counters in declaration order: `[fetch, rat, rs,
+    /// rob, load, store]`.
+    #[inline]
+    pub(crate) fn stalls(&self) -> [u64; 6] {
+        [
+            self.fetch_stall_cycles,
+            self.rat_stall_cycles,
+            self.rs_full_stall_cycles,
+            self.rob_full_stall_cycles,
+            self.load_buf_stall_cycles,
+            self.store_buf_stall_cycles,
+        ]
+    }
+
+    /// [`PerfCounts::stalls`], mutably, in the same order.
+    #[inline]
+    pub(crate) fn stalls_mut(&mut self) -> [&mut u64; 6] {
+        [
+            &mut self.fetch_stall_cycles,
+            &mut self.rat_stall_cycles,
+            &mut self.rs_full_stall_cycles,
+            &mut self.rob_full_stall_cycles,
+            &mut self.load_buf_stall_cycles,
+            &mut self.store_buf_stall_cycles,
+        ]
+    }
+
     /// Total attributed stall cycles (the paper's normalization base for
     /// Figure 6).
     pub fn total_stall_cycles(&self) -> u64 {
-        self.fetch_stall_cycles
-            + self.rat_stall_cycles
-            + self.rs_full_stall_cycles
-            + self.rob_full_stall_cycles
-            + self.load_buf_stall_cycles
-            + self.store_buf_stall_cycles
+        self.stalls().iter().sum()
     }
 
     /// Normalized stall breakdown in the paper's Figure 6 order:
@@ -262,15 +349,8 @@ impl PerfCounts {
         if total == 0 {
             return [0.0; 6];
         }
-        let t = total as f64;
-        [
-            self.fetch_stall_cycles as f64 / t,
-            self.rat_stall_cycles as f64 / t,
-            self.load_buf_stall_cycles as f64 / t,
-            self.rs_full_stall_cycles as f64 / t,
-            self.store_buf_stall_cycles as f64 / t,
-            self.rob_full_stall_cycles as f64 / t,
-        ]
+        let [fetch, rat, rs, rob, load, store] = self.stalls();
+        [fetch, rat, load, rs, store, rob].map(|v| v as f64 / total as f64)
     }
 
     /// Share of stalls occurring in the out-of-order part of the pipeline
@@ -281,11 +361,8 @@ impl PerfCounts {
         if total == 0 {
             return 0.0;
         }
-        (self.rs_full_stall_cycles
-            + self.rob_full_stall_cycles
-            + self.load_buf_stall_cycles
-            + self.store_buf_stall_cycles) as f64
-            / total as f64
+        let [_, _, rs, rob, load, store] = self.stalls();
+        (rs + rob + load + store) as f64 / total as f64
     }
 }
 
@@ -340,9 +417,9 @@ mod tests {
     }
 
     /// Every field nonzero and distinct, written as a full struct
-    /// literal (no `..Default::default()`): adding a counter field
-    /// without teaching `accumulate`/`delta_since` about it fails to
-    /// compile here.
+    /// literal (no `..Default::default()`) in declaration order with
+    /// field `i` holding `i + 1`: adding a counter field fails to
+    /// compile here until it gets its own value.
     fn every_field() -> PerfCounts {
         PerfCounts {
             cycles: 1,
@@ -389,6 +466,29 @@ mod tests {
         let mut rebuilt = earlier;
         rebuilt.accumulate(&later.delta_since(&earlier));
         assert_eq!(rebuilt, later);
+    }
+
+    #[test]
+    fn array_codec_places_every_field_at_its_declared_index() {
+        let c = every_field();
+        let a = to_array(&c);
+        assert_eq!(a, std::array::from_fn(|i| i as u64 + 1));
+        assert_eq!(from_array(&a), c);
+        assert_eq!(from_array(&[0; COUNTER_FIELDS]), PerfCounts::default());
+        // The stall accessor reads the same six slots, in order.
+        assert_eq!(c.stalls(), [5, 6, 7, 8, 9, 10]);
+        assert_eq!(c.total_stall_cycles(), 45);
+        let mut d = c;
+        for slot in d.stalls_mut() {
+            *slot += 100;
+        }
+        assert_eq!(d.stalls(), [105, 106, 107, 108, 109, 110]);
+        // ...and touches nothing else.
+        let moved = d.delta_since(&c);
+        assert_eq!(
+            to_array(&moved).iter().sum::<u64>(),
+            moved.total_stall_cycles()
+        );
     }
 
     #[test]

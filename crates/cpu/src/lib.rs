@@ -24,7 +24,8 @@
 //! * [`shared_trace`] — one synthesized trace run on several machine
 //!   configurations at once, the driver behind a sweep curve;
 //! * [`counters::PerfCounts`] — every event the paper reports, with the
-//!   derived metrics used by each figure.
+//!   derived metrics used by each figure, and the fixed-order array
+//!   codec ([`counters::to_array`]) the persistent store writes.
 //!
 //! ```
 //! use dc_cpu::{config::CpuConfig, core::{simulate, SimOptions}};

@@ -210,12 +210,23 @@ mod tests {
     fn spread_configs() -> Vec<CpuConfig> {
         let base = CpuConfig::westmere_e5645();
         vec![
-            base.clone().with_rob_entries(32),
-            base.clone().with_rob_entries(256),
-            base.clone().with_predictor_bits(0),
-            base.clone().with_predictor_bits(12),
-            base.clone().with_l3_bytes(1536 << 10),
-            base.with_l3_bytes(24 << 20),
+            base.clone()
+                .try_with_rob_entries(32)
+                .expect("a nonempty ROB"),
+            base.clone()
+                .try_with_rob_entries(256)
+                .expect("a nonempty ROB"),
+            base.clone()
+                .try_with_predictor_bits(0)
+                .expect("a history the tables honour"),
+            base.clone()
+                .try_with_predictor_bits(12)
+                .expect("a history the tables honour"),
+            base.clone()
+                .try_with_l3_bytes(1536 << 10)
+                .expect("a whole number of L3 sets"),
+            base.try_with_l3_bytes(24 << 20)
+                .expect("a whole number of L3 sets"),
         ]
     }
 
@@ -274,8 +285,10 @@ mod tests {
         // core reaches every boundary first and must wait there.
         let base = CpuConfig::westmere_e5645();
         let cfgs = [
-            base.clone().with_rob_entries(32),
-            base.with_rob_entries(256),
+            base.clone()
+                .try_with_rob_entries(32)
+                .expect("a nonempty ROB"),
+            base.try_with_rob_entries(256).expect("a nonempty ROB"),
         ];
         let plan = SamplePlan::DEFAULT;
         let opts =

@@ -295,19 +295,22 @@ impl Job {
         self.log.close();
     }
 
-    /// Cancel a queued job. Fails with the current state if it already
-    /// started, finished, or was cancelled (running jobs are not torn
+    /// Cancel a queued job; `retire` runs before the `Cancelled` state
+    /// is visible. Fails with the current state, calling nothing, if
+    /// the job already started, finished, or was cancelled (running jobs are not torn
     /// down mid-simulation: the measurement layer is pure compute with
     /// no cancellation points, and a finished result feeds the shared
     /// cache anyway).
-    pub fn cancel(&self, server_recorder: &Recorder) -> Result<(), JobState> {
-        let mut st = relock(&self.status);
+    pub fn cancel(
+        &self,
+        server_recorder: &Recorder,
+        retire: impl FnOnce(),
+    ) -> Result<(), JobState> {
+        let st = relock(&self.status);
         if st.state != JobState::Queued {
             return Err(st.state);
         }
-        st.state = JobState::Cancelled;
-        drop(st);
-        self.emit_done(server_recorder, JobState::Cancelled, 0);
+        self.conclude(st, JobState::Cancelled, retire, server_recorder);
         Ok(())
     }
 
@@ -323,11 +326,18 @@ impl Job {
         }
     }
 
-    /// Run the characterization on the calling (executor) thread. The
+    /// Run a job no server tracks (nothing to retire) on the calling
+    /// thread; see [`Job::try_start`].
+    pub fn run(&self, server_recorder: &Recorder) {
+        self.run_and_retire(server_recorder, || {});
+    }
+
+    /// Run the characterization on the calling (executor) thread;
+    /// `retire` runs before the terminal state is visible. The
     /// caller must have claimed the job via [`Job::try_start`]. A panic
     /// anywhere in the measurement pipeline is caught and recorded as
     /// `Failed` — the daemon never dies with a job.
-    pub fn run(&self, server_recorder: &Recorder) {
+    pub(crate) fn run_and_retire(&self, server_recorder: &Recorder, retire: impl FnOnce()) {
         let spec = &self.spec;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let base = Characterizer::new(
@@ -347,21 +357,34 @@ impl Job {
                 }
                 let output = render_output(spec, &rows);
                 let mut st = relock(&self.status);
-                st.state = JobState::Done;
                 st.simulations = simulations;
                 st.output = Some(output);
-                drop(st);
-                self.emit_done(server_recorder, JobState::Done, simulations);
+                self.conclude(st, JobState::Done, retire, server_recorder);
             }
             Err(panic) => {
-                let msg = panic_message(&panic);
                 let mut st = relock(&self.status);
-                st.state = JobState::Failed;
-                st.error = Some(msg);
-                drop(st);
-                self.emit_done(server_recorder, JobState::Failed, 0);
+                st.error = Some(panic_message(&panic));
+                self.conclude(st, JobState::Failed, retire, server_recorder);
             }
         }
+    }
+
+    /// Enter the terminal `state`. `retire` runs first, under `st`'s
+    /// status lock, so no `status` or `stream` reader sees the job
+    /// finished before its retirement (and any eviction that causes)
+    /// has happened. Lock order: a job's status, then the job table.
+    fn conclude(
+        &self,
+        mut st: MutexGuard<'_, JobStatus>,
+        state: JobState,
+        retire: impl FnOnce(),
+        server_recorder: &Recorder,
+    ) {
+        retire();
+        st.state = state;
+        let simulations = st.simulations;
+        drop(st);
+        self.emit_done(server_recorder, state, simulations);
     }
 
     /// Render the `status` result object. `simulations` and `output`
@@ -571,14 +594,14 @@ mod tests {
         let spec = tiny_spec(vec![BenchmarkId::Sort], 0x5EE073);
         let job = Job::new("job-3".into(), spec.clone());
         let rec = Recorder::disabled();
-        assert!(job.cancel(&rec).is_ok());
+        assert!(job.cancel(&rec, || {}).is_ok());
         assert_eq!(job.state(), JobState::Cancelled);
         assert!(!job.try_start(), "cancelled jobs are skipped");
-        assert_eq!(job.cancel(&rec), Err(JobState::Cancelled));
+        assert_eq!(job.cancel(&rec, || {}), Err(JobState::Cancelled));
         assert!(job.status_result().contains("\"state\":\"cancelled\""));
 
         let running = Job::new("job-4".into(), spec);
         assert!(running.try_start());
-        assert_eq!(running.cancel(&rec), Err(JobState::Running));
+        assert_eq!(running.cancel(&rec, || {}), Err(JobState::Running));
     }
 }

@@ -59,9 +59,10 @@
 //! (`simulations`) sit outside `output` precisely so the contract is
 //! exact.
 
+use dc_cpu::core::SimOptions;
 use dc_obs::event::write_json_string;
 use dc_store::json::{parse_json, Json};
-use dcbench::BenchmarkId;
+use dcbench::{BenchmarkId, Characterizer};
 
 /// Hard cap on one request line (bytes, newline excluded). Oversized
 /// lines are consumed and rejected, never buffered unboundedly.
@@ -135,9 +136,9 @@ impl ProtoError {
 /// The measurement window a job runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Window {
-    /// Short windows (tests, smoke runs): 500k measured µops.
+    /// Short windows (tests, smoke runs): [`Characterizer::quick`]'s.
     Quick,
-    /// Full windows (the figures): 1.2M measured after 2M warm-up.
+    /// Full windows (the figures): [`Characterizer::full`]'s.
     Full,
 }
 
@@ -150,12 +151,22 @@ impl Window {
         }
     }
 
-    /// The simulation window this maps to.
-    pub fn sim_options(&self) -> dc_cpu::core::SimOptions {
-        match self {
-            Window::Quick => dc_cpu::core::SimOptions::exact(500_000, 300_000),
-            Window::Full => dc_cpu::core::SimOptions::exact(1_200_000, 2_000_000),
-        }
+    /// The simulation window this maps to: [`Characterizer::quick`]'s
+    /// or [`Characterizer::full`]'s.
+    pub fn sim_options(&self) -> SimOptions {
+        self.options(false)
+    }
+
+    /// The named harness window, with [`Characterizer::quick_sampled`]'s
+    /// or [`Characterizer::full_sampled`]'s SMARTS plan when `sampled`.
+    fn options(self, sampled: bool) -> SimOptions {
+        let harness = match (self, sampled) {
+            (Window::Quick, false) => Characterizer::quick(),
+            (Window::Quick, true) => Characterizer::quick_sampled(),
+            (Window::Full, false) => Characterizer::full(),
+            (Window::Full, true) => Characterizer::full_sampled(),
+        };
+        *harness.options()
     }
 }
 
@@ -283,14 +294,8 @@ impl JobSpec {
     /// The simulation window this job runs at: the named [`Window`],
     /// with the default SMARTS plan folded in when the job asked to be
     /// sampled.
-    pub fn sim_options(&self) -> dc_cpu::core::SimOptions {
-        let opts = self.window.sim_options();
-        if self.sampled {
-            let plan = dc_cpu::SamplePlan::DEFAULT;
-            opts.with_sampling(plan.detail_ops, plan.ffwd_ops)
-        } else {
-            opts
-        }
+    pub fn sim_options(&self) -> SimOptions {
+        self.window.options(self.sampled)
     }
 }
 

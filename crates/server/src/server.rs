@@ -25,7 +25,8 @@
 //!
 //! Finished jobs are retained for `status` and `stream` up to
 //! [`MAX_FINISHED_JOBS`]; past that, each job that finishes evicts the
-//! oldest finished one, whose name then answers `unknown_job`.
+//! oldest finished one, whose name then answers `unknown_job` by the
+//! time the finishing job reads finished.
 
 use crate::jobs::Job;
 use crate::protocol::{
@@ -415,13 +416,13 @@ impl Server {
             }
             Action::Cancel(name) => {
                 let job = self.job(name)?;
-                job.cancel(&self.inner.recorder).map_err(|state| {
-                    ProtoError::new(
-                        code::BAD_REQUEST,
-                        format!("cannot cancel {name}: job is {}", state.as_str()),
-                    )
-                })?;
-                self.inner.retire(&job);
+                job.cancel(&self.inner.recorder, || self.inner.retire(&job))
+                    .map_err(|state| {
+                        ProtoError::new(
+                            code::BAD_REQUEST,
+                            format!("cannot cancel {name}: job is {}", state.as_str()),
+                        )
+                    })?;
                 self.emit_accepted("cancel");
                 write_line(writer, &ok_response(&req.id, &job.status_result()))?;
                 Ok(false)
@@ -508,9 +509,10 @@ impl Inner {
         self.jobs.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Record that `job` just finished, evicting the oldest finished
-    /// job beyond [`MAX_FINISHED_JOBS`]. A `stream` already following
-    /// an evicted job holds its own `Arc` and runs to the end.
+    /// Record that `job` is finishing (before its terminal state is
+    /// visible), evicting the oldest finished job beyond
+    /// [`MAX_FINISHED_JOBS`]. A `stream` already following an evicted
+    /// job holds its own `Arc` and runs to the end.
     fn retire(&self, job: &Job) {
         let mut jobs = self.jobs();
         jobs.finished.push_back(job.name.clone());
@@ -529,9 +531,7 @@ fn executor_loop(inner: &Inner) {
             // Shutdown cancels whatever is still queued; `close()` lets
             // the queue drain, so every accepted job still reaches a
             // terminal state and streaming clients are released.
-            if job.cancel(&inner.recorder).is_ok() {
-                inner.retire(&job);
-            }
+            let _ = job.cancel(&inner.recorder, || inner.retire(&job));
             continue;
         }
         if job.try_start() {
@@ -544,13 +544,12 @@ fn executor_loop(inner: &Inner) {
                 .metrics
                 .queue_wait
                 .observe(started.saturating_sub(job.enqueued_at()));
-            job.run(&inner.recorder);
+            job.run_and_retire(&inner.recorder, || inner.retire(&job));
             let finished = inner.metrics.clock.now_micros();
             inner
                 .metrics
                 .service_time
                 .observe(finished.saturating_sub(started));
-            inner.retire(&job);
         }
     }
 }

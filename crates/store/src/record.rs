@@ -8,13 +8,20 @@
 //!
 //! Counter blocks are serialized as fixed-order arrays (declaration
 //! order of [`PerfCounts`]), not keyed objects: the payload is ~3×
-//! smaller across a sweep grid and the order is compile-pinned by
-//! exhaustive destructuring in [`counts_to_array`] — adding a counter
-//! field without updating this module is a build error, not a silent
-//! decode mismatch.
+//! smaller across a sweep grid. The array codec lives next to the
+//! struct in dc-cpu ([`dc_cpu::counters::to_array`], re-exported here
+//! as [`counts_to_array`]), whose exhaustive destructuring pins the
+//! order at compile time: adding a counter field without placing it
+//! in the array is a build error there, not a silent decode mismatch
+//! here.
 
 use crate::json::{parse_json, write_json_string, Json};
 use dc_cpu::PerfCounts;
+
+/// The counter-block array codec, defined next to the struct.
+pub use dc_cpu::counters::{
+    from_array as counts_from_array, to_array as counts_to_array, COUNTER_FIELDS,
+};
 
 /// Identity of one persisted measurement — the on-disk mirror of
 /// `dcbench::cache::CacheKey`. The store cannot name that type (the
@@ -48,114 +55,6 @@ pub struct Record {
     pub key: StoreKey,
     /// One counter block per co-running core (solo = one element).
     pub counts: Vec<PerfCounts>,
-}
-
-/// Number of `u64` fields in [`PerfCounts`] (the serialized array
-/// length). Compile-pinned against the struct by [`counts_to_array`].
-pub const COUNTER_FIELDS: usize = 29;
-
-/// Flatten one counter block into declaration-order values. The
-/// exhaustive destructuring (no `..` rest pattern) is deliberate: a new
-/// `PerfCounts` field breaks this build until the array — and therefore
-/// the store format — is updated in the same change.
-pub fn counts_to_array(c: &PerfCounts) -> [u64; COUNTER_FIELDS] {
-    let PerfCounts {
-        cycles,
-        instructions,
-        user_instructions,
-        kernel_instructions,
-        fetch_stall_cycles,
-        rat_stall_cycles,
-        rs_full_stall_cycles,
-        rob_full_stall_cycles,
-        load_buf_stall_cycles,
-        store_buf_stall_cycles,
-        l1i_accesses,
-        l1i_misses,
-        itlb_accesses,
-        itlb_misses,
-        itlb_walks,
-        l1d_accesses,
-        l1d_misses,
-        dtlb_accesses,
-        dtlb_misses,
-        dtlb_walks,
-        l2_accesses,
-        l2_misses,
-        l3_accesses,
-        l3_misses,
-        prefetches,
-        branches,
-        branch_mispredicts,
-        loads,
-        stores,
-    } = *c;
-    [
-        cycles,
-        instructions,
-        user_instructions,
-        kernel_instructions,
-        fetch_stall_cycles,
-        rat_stall_cycles,
-        rs_full_stall_cycles,
-        rob_full_stall_cycles,
-        load_buf_stall_cycles,
-        store_buf_stall_cycles,
-        l1i_accesses,
-        l1i_misses,
-        itlb_accesses,
-        itlb_misses,
-        itlb_walks,
-        l1d_accesses,
-        l1d_misses,
-        dtlb_accesses,
-        dtlb_misses,
-        dtlb_walks,
-        l2_accesses,
-        l2_misses,
-        l3_accesses,
-        l3_misses,
-        prefetches,
-        branches,
-        branch_mispredicts,
-        loads,
-        stores,
-    ]
-}
-
-/// Rebuild a counter block from its declaration-order array.
-pub fn counts_from_array(a: &[u64; COUNTER_FIELDS]) -> PerfCounts {
-    PerfCounts {
-        cycles: a[0],
-        instructions: a[1],
-        user_instructions: a[2],
-        kernel_instructions: a[3],
-        fetch_stall_cycles: a[4],
-        rat_stall_cycles: a[5],
-        rs_full_stall_cycles: a[6],
-        rob_full_stall_cycles: a[7],
-        load_buf_stall_cycles: a[8],
-        store_buf_stall_cycles: a[9],
-        l1i_accesses: a[10],
-        l1i_misses: a[11],
-        itlb_accesses: a[12],
-        itlb_misses: a[13],
-        itlb_walks: a[14],
-        l1d_accesses: a[15],
-        l1d_misses: a[16],
-        dtlb_accesses: a[17],
-        dtlb_misses: a[18],
-        dtlb_walks: a[19],
-        l2_accesses: a[20],
-        l2_misses: a[21],
-        l3_accesses: a[22],
-        l3_misses: a[23],
-        prefetches: a[24],
-        branches: a[25],
-        branch_mispredicts: a[26],
-        loads: a[27],
-        stores: a[28],
-    }
 }
 
 fn push_u64_str(out: &mut String, v: u64) {

@@ -92,7 +92,9 @@ fn second_run_of_same_entry_does_zero_simulation_work() {
 
     // So is a different machine config, even at the same window.
     let fatter_l3 = Characterizer::new(
-        CpuConfig::westmere_e5645().with_l3_bytes(24 << 20),
+        CpuConfig::westmere_e5645()
+            .try_with_l3_bytes(24 << 20)
+            .expect("a whole number of L3 sets"),
         SimOptions::exact(50_000, 20_000),
         0xCAFE_2013,
     );

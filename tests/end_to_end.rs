@@ -43,7 +43,9 @@ fn ablation_llc_capacity_hurts_data_analysis() {
         7,
     );
     let small = Characterizer::new(
-        CpuConfig::westmere_e5645().with_l3_bytes(1 << 20),
+        CpuConfig::westmere_e5645()
+            .try_with_l3_bytes(1 << 20)
+            .expect("a whole number of L3 sets"),
         SimOptions::exact(400_000, 120_000),
         7,
     );
@@ -66,7 +68,9 @@ fn ablation_simpler_predictor_is_enough_for_da() {
     let opts = SimOptions::exact(300_000, 500_000);
     let westmere = Characterizer::new(CpuConfig::westmere_e5645(), opts, 2013);
     let simple = Characterizer::new(
-        CpuConfig::westmere_e5645().with_predictor_bits(4),
+        CpuConfig::westmere_e5645()
+            .try_with_predictor_bits(4)
+            .expect("a history the tables honour"),
         opts,
         2013,
     );
