@@ -138,6 +138,11 @@ fn run_entries(quick: bool, only: Option<&str>) -> Vec<BenchEntry> {
         });
     };
 
+    // One untimed simulation first: the process's cold start (page
+    // faults, cold host caches) would otherwise land on whichever entry
+    // runs first and inflate it past later runs of the same call.
+    bench.run_uncached(dcbench::BenchmarkId::all()[0]);
+
     if want("full_matrix_sequential") || want("full_matrix_parallel") || want("full_matrix_cached")
     {
         eprintln!(

@@ -4,7 +4,9 @@
 //! prefetcher (Westmere's DCU/L2 streamer class): demand misses that form
 //! an ascending line stream trigger prefetches of the next few lines into
 //! L2 and L3. Prefetch fills are tracked separately so demand-miss
-//! counters match what hardware counters report.
+//! counters match what hardware counters report. Each set keeps its ways
+//! in recency order: a hit moves its way to the front and a miss drops
+//! the last way, so LRU needs no use stamps and no victim search.
 //!
 //! Ownership mirrors the E5645 die: [`PrivateHierarchy`] holds the
 //! structures each core owns alone (split L1s, unified L2, the stream
@@ -27,11 +29,9 @@ pub struct Cache {
     /// a 64-bit modulo. The L3's 12288 sets take the modulo path.
     set_mask: u64,
     sets_pow2: bool,
-    /// `tags[set * assoc + way]`; `u64::MAX` = invalid.
+    /// `tags[set * assoc + way]`, most recently used way first;
+    /// `u64::MAX` = invalid (invalid ways always sit at the tail).
     tags: Vec<u64>,
-    /// LRU stamps parallel to `tags`.
-    stamps: Vec<u64>,
-    clock: u64,
     /// Demand accesses.
     pub accesses: u64,
     /// Demand misses.
@@ -50,8 +50,6 @@ impl Cache {
             set_mask: sets as u64 - 1,
             sets_pow2: sets.is_power_of_two(),
             tags: vec![u64::MAX; sets * assoc],
-            stamps: vec![0; sets * assoc],
-            clock: 0,
             accesses: 0,
             misses: 0,
         }
@@ -94,30 +92,8 @@ impl Cache {
 
     #[inline]
     fn touch_line(&mut self, line: u64) -> bool {
-        self.clock += 1;
-        let set = self.set_of(line);
-        let base = set * self.assoc;
-        let ways = &mut self.tags[base..base + self.assoc];
-        if let Some(w) = ways.iter().position(|&t| t == line) {
-            self.stamps[base + w] = self.clock;
-            return true;
-        }
-        // Miss: evict LRU way.
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.assoc {
-            if self.tags[base + w] == u64::MAX {
-                victim = w;
-                break;
-            }
-            if self.stamps[base + w] < oldest {
-                oldest = self.stamps[base + w];
-                victim = w;
-            }
-        }
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
-        false
+        let base = self.set_of(line) * self.assoc;
+        touch_mru(&mut self.tags[base..base + self.assoc], line)
     }
 
     /// Demand miss ratio so far.
@@ -134,6 +110,28 @@ impl Cache {
         self.accesses = 0;
         self.misses = 0;
     }
+}
+
+/// Touch `tag` in one set whose `ways` are in recency order (most recent
+/// first, invalid `u64::MAX` ways at the tail); returns `true` on a hit.
+/// A hit moves the way to the front; a miss drops the last way (an
+/// invalid one while the set has room, else the least recently used)
+/// and inserts `tag` at the front. This is exactly true LRU: the same
+/// hits, misses and evictions as per-way use stamps with the oldest
+/// stamp evicted.
+#[inline]
+pub(crate) fn touch_mru(ways: &mut [u64], tag: u64) -> bool {
+    // One pass that searches and shifts at once: each way takes the tag
+    // of the way before it, until the way `tag` was found in.
+    let mut carry = tag;
+    for way in ways {
+        let t = std::mem::replace(way, carry);
+        if t == tag {
+            return true;
+        }
+        carry = t;
+    }
+    false
 }
 
 /// Ascending-stream prefetcher, Intel-streamer style.
@@ -401,9 +399,10 @@ impl PrivateHierarchy {
         if self.prefetch_enabled {
             let next = addr + self.line_bytes;
             let next_salted = self.salted(next);
-            if shared.l3.probe(next_salted) || !shared.channel_saturated(now) {
+            let in_l3 = shared.l3.probe(next_salted);
+            if in_l3 || !shared.channel_saturated(now) {
                 self.prefetches += 1;
-                if !shared.l3.probe(next_salted) {
+                if !in_l3 {
                     shared.charge_memory(now);
                 }
                 self.l1i.fill(next);
@@ -506,9 +505,107 @@ impl Hierarchy {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::CpuConfig;
+    use proptest::prelude::*;
+
+    /// Stamp LRU, the way sets were kept before recency order: each way
+    /// carries the clock of its last touch, and a miss fills the first
+    /// invalid way or else evicts the oldest stamp. The oracle
+    /// [`touch_mru`] sets must match hit for hit.
+    pub(crate) struct StampLru {
+        assoc: usize,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        clock: u64,
+    }
+
+    impl StampLru {
+        pub(crate) fn new(sets: usize, assoc: usize) -> Self {
+            StampLru {
+                assoc,
+                tags: vec![u64::MAX; sets * assoc],
+                stamps: vec![0; sets * assoc],
+                clock: 0,
+            }
+        }
+
+        /// Touch `tag` in `set`; `true` on a hit. Misses allocate.
+        pub(crate) fn touch(&mut self, set: usize, tag: u64) -> bool {
+            self.clock += 1;
+            let base = set * self.assoc;
+            let ways = &self.tags[base..base + self.assoc];
+            if let Some(w) = ways.iter().position(|&t| t == tag) {
+                self.stamps[base + w] = self.clock;
+                return true;
+            }
+            let mut victim = 0;
+            let mut oldest = u64::MAX;
+            for w in 0..self.assoc {
+                if self.tags[base + w] == u64::MAX {
+                    victim = w;
+                    break;
+                }
+                if self.stamps[base + w] < oldest {
+                    oldest = self.stamps[base + w];
+                    victim = w;
+                }
+            }
+            self.tags[base + victim] = tag;
+            self.stamps[base + victim] = self.clock;
+            false
+        }
+
+        pub(crate) fn probe(&self, set: usize, tag: u64) -> bool {
+            let base = set * self.assoc;
+            self.tags[base..base + self.assoc].contains(&tag)
+        }
+    }
+
+    /// A tag from one random draw that lands in one of three sets (the
+    /// first two and the last) and collides with up to `3 * assoc`
+    /// others there, so sets fill, hit and evict often.
+    pub(crate) fn crowded_tag(x: u64, sets: usize, assoc: usize) -> u64 {
+        let set = [0, 1 % sets, sets - 1][(x >> 8) as usize % 3] as u64;
+        set + ((x >> 16) % (3 * assoc as u64)) * sets as u64
+    }
+
+    proptest! {
+        #[test]
+        fn recency_order_matches_stamp_lru(ops in collection::vec(0u64..u64::MAX, 1..600)) {
+            let base = CpuConfig::westmere_e5645();
+            let one_way = CacheConfig { assoc: 1, ..base.l1d };
+            assert_eq!(base.l3.sets(), 12288, "the L3's modulo geometry");
+            for cfg in [base.l1d, base.l3, one_way] {
+                let (sets, assoc) = (cfg.sets(), cfg.assoc as usize);
+                let mut cache = Cache::new(&cfg);
+                let mut oracle = StampLru::new(sets, assoc);
+                let mut misses = 0;
+                for (i, &x) in ops.iter().enumerate() {
+                    let line = crowded_tag(x, sets, assoc);
+                    let set = (line % sets as u64) as usize;
+                    let addr = (line << 6) | (x & 63);
+                    match x % 3 {
+                        0 => {
+                            let hit = oracle.touch(set, line);
+                            misses += u64::from(!hit);
+                            prop_assert_eq!(cache.access(addr), hit, "access {}", i);
+                        }
+                        1 => {
+                            let hit = oracle.touch(set, line);
+                            prop_assert_eq!(cache.fill(addr), hit, "fill {}", i);
+                        }
+                        _ => {
+                            let hit = oracle.probe(set, line);
+                            prop_assert_eq!(cache.probe(addr), hit, "probe {}", i);
+                        }
+                    }
+                }
+                prop_assert_eq!(cache.misses, misses);
+            }
+        }
+    }
 
     fn tiny() -> CacheConfig {
         CacheConfig {

@@ -29,11 +29,15 @@
 //! run, on any machine, at any thread count. There is no wall-clock or
 //! scheduler dependence anywhere in the model.
 //!
-//! When no running core made progress, the clock jumps to the earliest
-//! cycle at which any of them could act (`Pipeline::next_event`),
-//! fenced at each core's next interval boundary; no core touches the
-//! shared level during the skipped span, so every counter is
-//! bit-identical to stepping each cycle.
+//! A core whose step made no progress sleeps until its own earliest
+//! possible action (`Pipeline::next_event`), fenced at its next interval
+//! boundary; the cycles it sleeps through are charged to its stall
+//! counter in bulk. The clock jumps to the earliest wake of all live
+//! cores, and each cycle steps only the cores that wake then, still in
+//! ascending order. An idle step reads only the core's private state
+//! and touches nothing shared, so a sleeping core misses nothing the
+//! others do, and every counter is bit-identical to stepping every core
+//! every cycle.
 //!
 //! Cores that finish their measurement window early stop stepping
 //! (their counters freeze) while the remaining cores keep running and
@@ -54,7 +58,7 @@ use dc_trace::TraceSource;
 use crate::branch::BranchPredictor;
 use crate::cache::{PrivateHierarchy, SharedL3};
 use crate::config::CpuConfig;
-use crate::core::{Block, Pipeline, SimOptions};
+use crate::core::{Pipeline, SimOptions};
 use crate::counters::PerfCounts;
 use crate::intervals::{IntervalRecorder, IntervalRun};
 use crate::tlb::Mmu;
@@ -180,15 +184,41 @@ impl Chip {
 #[derive(Debug)]
 struct Slot {
     pipe: Pipeline,
-    done: bool,
     recorder: Option<IntervalRecorder>,
-    /// The stall cause an idle skip charges, as of the last probe.
-    idle: Block,
+    /// The next global cycle this core steps at; [`DONE`] once it has
+    /// finished.
+    wake: u64,
+}
+
+/// [`Slot::wake`] of a finished core: it never steps again.
+const DONE: u64 = u64::MAX;
+
+impl Slot {
+    /// The cycle this core next steps at, after an unfinished step at
+    /// `cycle`: the next one after progress, else its own `next_event`
+    /// bound fenced at its recorder's next snapshot, with the cycles it
+    /// sleeps through charged in bulk (see the module docs).
+    #[inline]
+    fn wake_after(&mut self, cycle: u64) -> u64 {
+        if self.pipe.made_progress() {
+            return cycle + 1;
+        }
+        let Some((bound, block)) = self.pipe.next_event(cycle) else {
+            return cycle + 1;
+        };
+        let wake = self
+            .recorder
+            .as_ref()
+            .map_or(bound, |r| bound.min(r.next_at()));
+        debug_assert!(wake > cycle, "a core cannot wake in the past");
+        self.pipe.charge_idle(block, wake - 1 - cycle);
+        wake
+    }
 }
 
 /// One run of a [`Chip`], resumable between cycles: the lockstep step /
-/// idle-skip loop (see the module docs). [`Chip::drive`], behind every
-/// `run*` entry point, drives it to the end in one call;
+/// per-core sleep loop (see the module docs). [`Chip::drive`], behind
+/// every `run*` entry point, drives it to the end in one call;
 /// [`crate::shared_trace`] pauses it at chunk boundaries of a trace
 /// several one-core chips share. Pausing between cycles and resuming is
 /// the same loop as never pausing, so every caller measures
@@ -197,6 +227,7 @@ struct Slot {
 pub(crate) struct Lockstep {
     slots: Vec<Slot>,
     live: usize,
+    /// The next global cycle: the earliest wake of all live cores.
     cycle: u64,
 }
 
@@ -216,22 +247,21 @@ impl Lockstep {
                 let recorder = every_cycles.map(|every| IntervalRecorder::new(every, &pipe));
                 Slot {
                     pipe,
-                    done: false,
                     recorder,
-                    idle: Block::None,
+                    wake: 1,
                 }
             })
             .collect();
         Lockstep {
             live: slots.len(),
             slots,
-            cycle: 0,
+            cycle: 1,
         }
     }
 
-    /// Step every live core of `chip` through its trace, one cycle at a
-    /// time, until all have finished or `pause(traces)` holds before a
-    /// cycle; returns whether all have finished.
+    /// Step every live core of `chip` through its trace, each at the
+    /// cycles it wakes at, until all have finished or `pause(traces)`
+    /// holds before a cycle; returns whether all have finished.
     ///
     /// # Panics
     ///
@@ -254,12 +284,14 @@ impl Lockstep {
         let slots = &mut self.slots[..];
         let cores = &mut cores[..];
         let mut live = self.live;
-        let mut cycle = self.cycle;
+        let mut next = self.cycle;
         while live > 0 && !pause(traces) {
-            cycle += 1;
+            let cycle = next;
+            next = DONE;
             let lanes = slots.iter_mut().zip(cores.iter_mut());
             for ((slot, core), trace) in lanes.zip(traces.iter_mut()) {
-                if slot.done {
+                if slot.wake > cycle {
+                    next = next.min(slot.wake);
                     continue;
                 }
                 let finished = slot.pipe.step(
@@ -275,16 +307,16 @@ impl Lockstep {
                     rec.after_step(cycle, finished, &slot.pipe, &core.hier, &core.mmu, &core.bp);
                 }
                 if finished {
-                    slot.done = true;
+                    slot.wake = DONE;
                     live -= 1;
+                } else {
+                    slot.wake = slot.wake_after(cycle);
+                    next = next.min(slot.wake);
                 }
-            }
-            if live > 0 {
-                cycle = skip_idle(slots, cycle);
             }
         }
         self.live = live;
-        self.cycle = cycle;
+        self.cycle = next;
         live == 0
     }
 
@@ -314,36 +346,6 @@ impl Lockstep {
     }
 }
 
-/// Global idle skip after the step at `cycle`; returns the cycle the
-/// loop resumes from. Only when *every* live core agrees nothing can
-/// happen before `bound` (nor an interval close) is the span skipped,
-/// with each core's bulk stall attribution. A core that just made
-/// progress may act next cycle, so don't even probe then.
-#[inline]
-fn skip_idle(slots: &mut [Slot], cycle: u64) -> u64 {
-    if slots.iter().any(|s| !s.done && s.pipe.made_progress()) {
-        return cycle;
-    }
-    let mut bound = u64::MAX;
-    for slot in slots.iter_mut().filter(|s| !s.done) {
-        let Some((b, block)) = slot.pipe.next_event(cycle) else {
-            return cycle;
-        };
-        slot.idle = block;
-        bound = bound.min(b);
-        if let Some(rec) = &slot.recorder {
-            bound = bound.min(rec.next_at());
-        }
-    }
-    if bound <= cycle + 1 {
-        return cycle;
-    }
-    for slot in slots.iter_mut().filter(|s| !s.done) {
-        slot.pipe.charge_idle(slot.idle, bound - 1 - cycle);
-    }
-    bound - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,6 +371,60 @@ mod tests {
         WorkloadProfile::builder("plain")
             .build()
             .expect("valid test profile")
+    }
+
+    /// The loop [`Lockstep::advance`] must reproduce: every live core
+    /// steps every cycle, in ascending order, and nothing sleeps.
+    /// Returns the counters and, given `every`, the interval series.
+    fn run_every_cycle<T: TraceSource>(
+        cores: usize,
+        mut traces: Vec<T>,
+        every: Option<u64>,
+    ) -> (Vec<PerfCounts>, Option<Vec<IntervalRun>>) {
+        let mut chip = Chip::new(CpuConfig::westmere_e5645(), cores);
+        let mut run = Lockstep::new(&chip, &opts(), every);
+        let Chip { cfg, cores, shared } = &mut chip;
+        let mut cycle = 0;
+        while run.live > 0 {
+            cycle += 1;
+            let lanes = run.slots.iter_mut().zip(cores.iter_mut());
+            for ((slot, core), trace) in lanes.zip(traces.iter_mut()) {
+                if slot.wake == DONE {
+                    continue;
+                }
+                let (hier, mmu, bp) = (&mut core.hier, &mut core.mmu, &mut core.bp);
+                let finished = slot.pipe.step(cycle, cfg, hier, shared, mmu, bp, trace);
+                if let Some(rec) = &mut slot.recorder {
+                    rec.after_step(cycle, finished, &slot.pipe, hier, mmu, bp);
+                }
+                if finished {
+                    slot.wake = DONE;
+                    run.live -= 1;
+                }
+            }
+        }
+        let counts = run.counts(&chip);
+        (counts, every.map(|_| run.intervals(&chip)))
+    }
+
+    #[test]
+    fn per_core_sleep_matches_stepping_every_core_every_cycle() {
+        let profile = cache_hungry();
+        let traces = || {
+            (0..4)
+                .map(|k| SyntheticTrace::new(&profile, 31 + k))
+                .collect::<Vec<_>>()
+        };
+        let chip = || Chip::new(CpuConfig::westmere_e5645(), 4);
+        let (counts, _) = run_every_cycle(4, traces(), None);
+        assert_eq!(chip().run(traces(), &opts()), counts);
+        // An interval length no sleep lines up with by chance: each
+        // core must wake at its own boundaries to close them on time.
+        let every = 997;
+        let (_, series) = run_every_cycle(4, traces(), Some(every));
+        let series = series.expect("an interval run");
+        assert_eq!(chip().run_intervals(traces(), &opts(), every), series);
+        assert!(series.iter().all(|run| run.samples.len() > 10));
     }
 
     #[test]

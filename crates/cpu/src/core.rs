@@ -33,19 +33,23 @@
 //! cycle an entry frees (`WakeupWheel`) — the model never needs to
 //! know *which* entry frees, only *how many* are still held at a given
 //! cycle, so a heap of release times collapses into occupancy counts
-//! bucketed by cycle. No allocation happens per op or per cycle.
+//! bucketed by cycle. The wheels drain lazily: rename only asks whether
+//! a window is full, and the undrained count can only overstate it, so
+//! a wheel is drained only once that count reaches the window's
+//! capacity. No allocation happens per op or per cycle.
 //!
 //! ## Idle-cycle skipping
 //!
 //! Most simulated cycles do nothing: rename is blocked on one cause,
 //! fetch is waiting out a miss, and the ROB head has not completed.
-//! After every un-finished step, `Pipeline::next_event` computes the
-//! earliest future cycle at which *any* stage could act; the lockstep
-//! loop ([`crate::chip`]) jumps the global clock there, bulk-charging
-//! the skipped cycles to the same stall counter the stepped loop would
-//! have charged. The skip is exact — counters, interleavings and final
-//! cycles are bit-identical to the cycle-by-cycle loop (pinned by tests
-//! here and by the golden suite).
+//! After an un-finished step that made no progress,
+//! `Pipeline::next_event` computes the earliest future cycle at which
+//! *any* stage could act; the lockstep loop ([`crate::chip`]) lets this
+//! core sleep until then, bulk-charging the skipped cycles to the same
+//! stall counter the stepped loop would have charged. The skip is exact
+//! — counters, interleavings and final cycles are bit-identical to the
+//! cycle-by-cycle loop (pinned by tests here, in `chip`, and by the
+//! golden suite).
 //!
 //! ## SMARTS-style sampled simulation
 //!
@@ -305,11 +309,16 @@ impl OpRing {
 const WHEEL_SLOTS: usize = 2048;
 
 /// Counting wakeup structure replacing a `BinaryHeap<Reverse<u64>>` of
-/// release times. The model only ever asks "how many entries are still
-/// held at cycle C?" and "when does the next entry free?", so instead
-/// of ordered release times it keeps occupancy *counts* bucketed by
-/// release cycle in a power-of-two wheel. Draining advances a cursor;
-/// nothing is compared, swapped or allocated.
+/// release times. The model only ever asks "are `cap` or more entries
+/// still held at cycle C?" and, when they are, "when does the next entry
+/// free?", so instead of ordered release times it keeps occupancy
+/// *counts* bucketed by release cycle in a power-of-two wheel. Draining
+/// advances a cursor; nothing is compared, swapped or allocated.
+///
+/// Draining is lazy: the bucketed count only ever overstates the entries
+/// held at C, so [`WakeupWheel::full_at`] drains only once that stale
+/// count reaches the cap, and [`WakeupWheel::push`] drains before it
+/// would spill a release past the horizon.
 #[derive(Debug)]
 struct WakeupWheel {
     /// Occupancy per wheel slot; slot `t & (WHEEL_SLOTS-1)` is valid
@@ -338,38 +347,48 @@ impl WakeupWheel {
         (t & (WHEEL_SLOTS as u64 - 1)) as usize
     }
 
-    /// Entries still held (release time beyond `drained_to`).
+    /// Entries not yet drained (release time beyond `drained_to`): an
+    /// upper bound on the entries held at any later cycle.
     #[inline]
     fn occupancy(&self) -> usize {
         self.live + self.overflow.len()
     }
 
-    /// Record an entry that frees at cycle `at` (must be in the
-    /// future relative to the drain cursor).
+    /// Whether `cap` or more entries are still held at `cycle`. Drains
+    /// only when the undrained count alone reaches `cap`.
     #[inline]
-    fn push(&mut self, at: u64) {
-        debug_assert!(at > self.drained_to);
-        if at > self.drained_to + WHEEL_SLOTS as u64 {
-            self.overflow.push(at);
-        } else {
-            self.counts[Self::slot(at)] += 1;
-            self.live += 1;
+    fn full_at(&mut self, cycle: u64, cap: usize) -> bool {
+        if self.occupancy() < cap {
+            return false;
         }
+        self.drain_to(cycle);
+        self.occupancy() >= cap
+    }
+
+    /// Record an entry that frees at cycle `at`, with the clock at `now`
+    /// (`now < at`, and no earlier drain went past `now`).
+    #[inline]
+    fn push(&mut self, at: u64, now: u64) {
+        debug_assert!(at > now && now >= self.drained_to);
+        if at > self.drained_to + WHEEL_SLOTS as u64 {
+            self.drain_to(now);
+            if at > now + WHEEL_SLOTS as u64 {
+                self.overflow.push(at);
+                return;
+            }
+        }
+        self.counts[Self::slot(at)] += 1;
+        self.live += 1;
     }
 
     /// Free every entry whose release time has passed.
-    #[inline]
     fn drain_to(&mut self, cycle: u64) {
         if cycle <= self.drained_to {
             return;
         }
-        if self.live == 0 && self.overflow.is_empty() {
-            // Nothing bucketed: just advance the cursor.
-            self.drained_to = cycle;
-            return;
-        }
-        if cycle - self.drained_to >= WHEEL_SLOTS as u64 {
-            // The whole wheel span expired at once (long idle skip).
+        if self.live == 0 || cycle - self.drained_to >= WHEEL_SLOTS as u64 {
+            // Nothing bucketed, or the whole wheel span expired at once
+            // (long idle skip): just advance the cursor.
             if self.live > 0 {
                 self.counts.fill(0);
                 self.live = 0;
@@ -379,11 +398,8 @@ impl WakeupWheel {
             while self.drained_to < cycle {
                 self.drained_to += 1;
                 let slot = Self::slot(self.drained_to);
-                let c = self.counts[slot];
-                if c != 0 {
-                    self.live -= c as usize;
-                    self.counts[slot] = 0;
-                }
+                self.live -= self.counts[slot] as usize;
+                self.counts[slot] = 0;
             }
         }
         if !self.overflow.is_empty() {
@@ -411,7 +427,8 @@ impl WakeupWheel {
         }
     }
 
-    /// Earliest release time still held; `u64::MAX` when empty.
+    /// Earliest release time beyond `drained_to`; `u64::MAX` when
+    /// empty. Callers drain to the cycle they ask about first.
     fn next_release(&self) -> u64 {
         if self.live > 0 {
             for d in 1..=WHEEL_SLOTS as u64 {
@@ -823,13 +840,6 @@ impl Pipeline {
         // Cause of the first blockage this cycle (for attribution).
         let mut block = Block::None;
 
-        // Free backend entries whose release time has passed. Nothing
-        // dispatched *this* cycle frees this cycle, so draining once up
-        // front is identical to draining inside the rename loop.
-        self.rs.drain_to(cycle);
-        self.ldq.drain_to(cycle);
-        self.stq.drain_to(cycle);
-
         while renamed < c.rename_width {
             if self.rat_blocked_until > cycle {
                 block = Block::Rat;
@@ -843,15 +853,17 @@ impl Pipeline {
                 block = Block::Rob;
                 break;
             }
-            if self.rs.occupancy() >= self.rs_cap {
+            // Nothing dispatched this cycle frees this cycle, so asking
+            // the wheels at `cycle` inside the loop is exact.
+            if self.rs.full_at(cycle, self.rs_cap) {
                 block = Block::Rs;
                 break;
             }
-            if op.kind.is_load() && self.ldq.occupancy() >= self.ldq_cap {
+            if op.kind.is_load() && self.ldq.full_at(cycle, self.ldq_cap) {
                 block = Block::Load;
                 break;
             }
-            if op.kind.is_store() && self.stq.occupancy() >= self.stq_cap {
+            if op.kind.is_store() && self.stq.full_at(cycle, self.stq_cap) {
                 block = Block::Store;
                 break;
             }
@@ -893,7 +905,7 @@ impl Pipeline {
                     let (_, tlb_lat) = mmu.translate_data(addr);
                     let (_, mem_lat) = hier.access_data(shared, addr, cycle);
                     let done = ready + u64::from(tlb_lat) + u64::from(mem_lat);
-                    self.ldq.push(done);
+                    self.ldq.push(done, cycle);
                     done
                 }
                 OpKind::Store { addr, .. } => {
@@ -911,11 +923,11 @@ impl Pipeline {
                     };
                     let drain_done = self.last_store_drain.max(exec_done) + cost;
                     self.last_store_drain = drain_done;
-                    self.stq.push(drain_done);
+                    self.stq.push(drain_done, cycle);
                     exec_done
                 }
             };
-            self.rs.push(ready);
+            self.rs.push(ready, cycle);
             self.rob.push(complete, op.mode == Mode::Kernel);
             self.completions[(self.op_idx % COMPLETION_RING as u64) as usize] = complete;
             self.op_idx += 1;
@@ -1053,9 +1065,10 @@ impl Pipeline {
     /// could perform observable work, given the state after the step at
     /// `cycle`, plus the stall cause every intervening cycle would be
     /// charged to. `None` when the very next cycle might act (or when
-    /// skipping is not provably safe). The lockstep loop uses this to jump
-    /// the clock over idle stretches; [`Pipeline::charge_idle`] applies
-    /// the bulk attribution.
+    /// skipping is not provably safe). The lockstep loop uses this to let
+    /// the core sleep over idle stretches; [`Pipeline::charge_idle`]
+    /// applies the bulk attribution. The answer depends on this core's
+    /// private state alone.
     pub(crate) fn next_event(&mut self, cycle: u64) -> Option<(u64, Block)> {
         if !self.can_skip {
             return None;
@@ -1087,20 +1100,18 @@ impl Pipeline {
             bound = bound.min(self.rat_blocked_until);
         } else if let Some(op) = self.decode_q.front() {
             let kind = op.kind;
-            self.rs.drain_to(cycle + 1);
-            self.ldq.drain_to(cycle + 1);
-            self.stq.drain_to(cycle + 1);
+            let next = cycle + 1;
             if self.rob.is_full() {
                 // Frees on retire; `bound` already holds the head's
                 // completion cycle.
                 block = Block::Rob;
-            } else if self.rs.occupancy() >= self.rs_cap {
+            } else if self.rs.full_at(next, self.rs_cap) {
                 block = Block::Rs;
                 bound = bound.min(self.rs.next_release());
-            } else if kind.is_load() && self.ldq.occupancy() >= self.ldq_cap {
+            } else if kind.is_load() && self.ldq.full_at(next, self.ldq_cap) {
                 block = Block::Load;
                 bound = bound.min(self.ldq.next_release());
-            } else if kind.is_store() && self.stq.occupancy() >= self.stq_cap {
+            } else if kind.is_store() && self.stq.full_at(next, self.stq_cap) {
                 block = Block::Store;
                 bound = bound.min(self.stq.next_release());
             } else {
@@ -1360,6 +1371,7 @@ mod tests {
     use crate::cache::Hierarchy;
     use dc_trace::profile::{AccessPattern, WorkloadProfile};
     use dc_trace::{MicroOp, SyntheticTrace};
+    use proptest::prelude::*;
 
     /// A dense stream of independent ALU ops in one cache line.
     fn alu_stream(n: usize) -> impl Iterator<Item = MicroOp> {
@@ -1603,12 +1615,12 @@ mod tests {
         let mut w = WakeupWheel::new();
         assert_eq!(w.occupancy(), 0);
         assert_eq!(w.next_release(), u64::MAX);
-        w.push(5);
-        w.push(5);
-        w.push(100);
+        w.push(5, 0);
+        w.push(5, 0);
+        w.push(100, 0);
         // Beyond the horizon: goes to overflow.
         let far = WHEEL_SLOTS as u64 + 1_000;
-        w.push(far);
+        w.push(far, 0);
         assert_eq!(w.occupancy(), 4);
         assert_eq!(w.next_release(), 5);
         w.drain_to(5);
@@ -1631,9 +1643,9 @@ mod tests {
     fn wakeup_wheel_wholesale_expiry_on_long_skip() {
         let mut w = WakeupWheel::new();
         for t in [3u64, 7, 1_000, 2_000] {
-            w.push(t);
+            w.push(t, 0);
         }
-        w.push(3 * WHEEL_SLOTS as u64); // overflow
+        w.push(3 * WHEEL_SLOTS as u64, 0); // overflow
         assert_eq!(w.occupancy(), 5);
         // Jump far past the whole wheel span in one drain.
         w.drain_to(2 * WHEEL_SLOTS as u64);
@@ -1641,6 +1653,58 @@ mod tests {
         assert_eq!(w.next_release(), 3 * WHEEL_SLOTS as u64);
         w.drain_to(4 * WHEEL_SLOTS as u64);
         assert_eq!(w.occupancy(), 0);
+    }
+
+    proptest! {
+        /// Lazy draining answers every question the pipeline asks of a
+        /// wheel exactly as draining to the clock before each one does,
+        /// and both match the plain multiset of release times. Steps
+        /// and releases run past `WHEEL_SLOTS` now and then, so the
+        /// overflow list and the whole-span expiry are both exercised.
+        #[test]
+        fn lazy_wheel_drains_answer_like_eager_ones(
+            ops in collection::vec(0u64..u64::MAX, 1..500),
+            cap in 1usize..24,
+        ) {
+            let slots = WHEEL_SLOTS as u64;
+            let (mut lazy, mut eager) = (WakeupWheel::new(), WakeupWheel::new());
+            // Releases still held at `now`, and every release ever pushed.
+            let (mut held, mut pushed) = (Vec::new(), Vec::new());
+            let mut now = 0;
+            for (i, &x) in ops.iter().enumerate() {
+                now += match (x >> 8) % 64 {
+                    0 => slots + (x >> 20) % slots,
+                    1..=15 => (x >> 20) % 40,
+                    _ => 0,
+                };
+                held.retain(|&t| t > now);
+                eager.drain_to(now);
+                if x % 4 == 0 {
+                    let ahead = if (x >> 14) % 8 == 0 { 2 * slots } else { 200 };
+                    let at = now + 1 + (x >> 24) % ahead;
+                    let spilled = lazy.overflow.len();
+                    lazy.push(at, now);
+                    eager.push(at, now);
+                    held.push(at);
+                    pushed.push(at);
+                    let near = at <= now + slots;
+                    prop_assert!(!near || lazy.overflow.len() <= spilled, "push {i} spilled");
+                } else {
+                    let full = held.len() >= cap;
+                    prop_assert_eq!(lazy.full_at(now, cap), full, "full_at {}", i);
+                    prop_assert_eq!(eager.occupancy() >= cap, full, "eager {}", i);
+                    if full {
+                        let next = held.iter().copied().min();
+                        prop_assert_eq!(Some(lazy.next_release()), next, "lazy {}", i);
+                        prop_assert_eq!(Some(eager.next_release()), next, "eager {}", i);
+                    }
+                }
+                // Every overflow entry really lies beyond the horizon.
+                let horizon = lazy.drained_to + slots;
+                let beyond = pushed.iter().filter(|&&t| t > horizon).count();
+                prop_assert!(lazy.overflow.len() <= beyond, "overflow at {i}");
+            }
+        }
     }
 
     /// Satellite 2: the SoA ring sizes exactly from the config — a

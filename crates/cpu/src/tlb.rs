@@ -4,7 +4,10 @@
 //! and a 512-entry 4-way second-level TLB shared between instruction and
 //! data translations (so heavy data paging evicts instruction entries —
 //! the interaction behind Figure 8's service-workload walk rates).
+//! Every level is true LRU, its sets kept in recency order like the
+//! caches' sets.
 
+use crate::cache::touch_mru;
 use crate::config::{CpuConfig, TlbConfig};
 
 /// One set-associative TLB level (LRU).
@@ -16,9 +19,8 @@ pub struct TlbLevel {
     /// becomes a mask instead of a 64-bit modulo on the hot path.
     set_mask: u64,
     sets_pow2: bool,
+    /// `tags[set * assoc + way]`, most recently used way first.
     tags: Vec<u64>,
-    stamps: Vec<u64>,
-    clock: u64,
 }
 
 impl TlbLevel {
@@ -32,43 +34,19 @@ impl TlbLevel {
             set_mask: sets as u64 - 1,
             sets_pow2: sets.is_power_of_two(),
             tags: vec![u64::MAX; sets * assoc],
-            stamps: vec![0; sets * assoc],
-            clock: 0,
         }
     }
 
     /// Access a page number; `true` on hit. Misses allocate.
     #[inline]
     pub fn access(&mut self, page: u64) -> bool {
-        self.clock += 1;
         let set = if self.sets_pow2 {
             (page & self.set_mask) as usize
         } else {
             (page % self.sets as u64) as usize
         };
         let base = set * self.assoc;
-        if let Some(w) = self.tags[base..base + self.assoc]
-            .iter()
-            .position(|&t| t == page)
-        {
-            self.stamps[base + w] = self.clock;
-            return true;
-        }
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.assoc {
-            if self.tags[base + w] == u64::MAX {
-                victim = w;
-                break;
-            }
-            if self.stamps[base + w] < oldest {
-                oldest = self.stamps[base + w];
-                victim = w;
-            }
-        }
-        self.tags[base + victim] = page;
-        self.stamps[base + victim] = self.clock;
-        false
+        touch_mru(&mut self.tags[base..base + self.assoc], page)
     }
 }
 
@@ -164,7 +142,28 @@ impl Mmu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::tests::{crowded_tag, StampLru};
     use crate::config::CpuConfig;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn recency_order_matches_stamp_lru(pages in collection::vec(0u64..u64::MAX, 1..600)) {
+            let base = CpuConfig::westmere_e5645();
+            let odd = TlbConfig { entries: 96, assoc: 4 };
+            let one_way = TlbConfig { entries: 32, assoc: 1 };
+            for cfg in [base.dtlb, base.stlb, odd, one_way] {
+                let (assoc, sets) = (cfg.assoc as usize, (cfg.entries / cfg.assoc) as usize);
+                let mut tlb = TlbLevel::new(&cfg);
+                let mut oracle = StampLru::new(sets, assoc);
+                for (i, &x) in pages.iter().enumerate() {
+                    let page = crowded_tag(x, sets, assoc);
+                    let want = oracle.touch((page % sets as u64) as usize, page);
+                    prop_assert_eq!(tlb.access(page), want, "access {} of {:?}", i, cfg);
+                }
+            }
+        }
+    }
 
     #[test]
     fn repeated_translation_hits_l1() {
