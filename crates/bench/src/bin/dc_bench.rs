@@ -401,6 +401,24 @@ fn run_entries(quick: bool, only: Option<&str>) -> Vec<BenchEntry> {
         push("subset_warm", warm, sample_uops, jobs);
     }
 
+    // Store recovery: `dc_store::recover` over a fixed 28-record log
+    // built in memory (the cold matrix's 26 solo cells and two 4-core
+    // co-runs), the read half of a warm start. No disk I/O: frame
+    // checks and payload parsing only. Repeated so the entry is not a
+    // sub-millisecond reading.
+    if want("store_recover") {
+        eprintln!("dc-bench: store recovery (28-record log in memory)");
+        let log = recovery_log(&bench);
+        const REPS: usize = 200;
+        let recovered = time_ms(|| {
+            for _ in 0..REPS {
+                let recovery = dc_store::recover(std::hint::black_box(&log));
+                assert_eq!(recovery.records.len(), 28, "every framed record recovers");
+            }
+        });
+        push("store_recover", recovered, (REPS * 28) as f64, 1);
+    }
+
     // Daemon request throughput: an in-process `dc-server` on an
     // ephemeral TCP port, four concurrent clients each pushing warm
     // submit+stream rounds end to end (accept → parse → queue →
@@ -443,6 +461,53 @@ fn run_entries(quick: bool, only: Option<&str>) -> Vec<BenchEntry> {
     }
 
     entries
+}
+
+/// The `store_recover` log: a generation header, one record per
+/// benchmark entry and two 4-core Sort/Grep co-runs, with
+/// pseudo-random counters of up to nine digits.
+fn recovery_log(bench: &Characterizer) -> Vec<u8> {
+    let header = format!(
+        "{{\"format\":\"{}\",\"gen\":\"{}\"}}",
+        dc_store::FORMAT_VERSION,
+        dc_store::FIRST_GENERATION
+    );
+    let mut log = dc_store::frame_line(b'h', &header);
+    let cells = dcbench::BenchmarkId::all()
+        .iter()
+        .map(|&id| (id, 1u32))
+        .chain([
+            (dcbench::BenchmarkId::Sort, 4),
+            (dcbench::BenchmarkId::Grep, 4),
+        ]);
+    for (n, (id, corun)) in cells.enumerate() {
+        let counts = (0..corun as usize)
+            .map(|core| {
+                let mut fields = [0u64; dc_store::COUNTER_FIELDS];
+                for (f, v) in fields.iter_mut().enumerate() {
+                    *v = dc_mapreduce::faults::splitmix64(((n * 8 + core) * 64 + f) as u64) >> 37;
+                }
+                dc_store::counts_from_array(&fields)
+            })
+            .collect();
+        let record = dc_store::Record {
+            key: dc_store::StoreKey {
+                entry: id.name().to_string(),
+                cfg_hash: dc_mapreduce::faults::splitmix64(n as u64),
+                max_ops: bench.options().max_ops,
+                warmup_ops: bench.options().warmup_ops,
+                seed: bench.seed() + n as u64,
+                corun,
+                sample: None,
+            },
+            counts,
+        };
+        log.extend(dc_store::frame_line(
+            b'r',
+            &dc_store::encode_payload(&record),
+        ));
+    }
+    log
 }
 
 /// One `server_throughput` client: `rounds` identical warm submissions

@@ -247,8 +247,7 @@ impl Server {
                     write_line(writer, &error_response(None, &err)).map(|()| false)
                 }
                 Ok(LineRead::Line) => {
-                    let text = String::from_utf8_lossy(&line).into_owned();
-                    self.handle_line(&text, &mut used_ids, writer)
+                    self.handle_line(&String::from_utf8_lossy(&line), &mut used_ids, writer)
                 }
             };
             // One flush per request line: the whole reply is one write.

@@ -1,17 +1,23 @@
 //! The workspace's hardened JSON reader.
 //!
-//! Two consumers parse JSON off disk: the `dc-obs` event-schema
-//! validator in `dc_benches::schema` and the store's record recovery
-//! in [`crate::log`].
-//! Both read files that may be truncated mid-write, bit-flipped, or
-//! adversarial, so the contract is strict: **every** malformed input
-//! comes back as `Err`, never a panic and never a stack overflow. The
-//! fuzz suites in `tests/schema_fuzz.rs` and
-//! `tests/store_properties.rs` pin that contract.
+//! It parses the `dc-obs` event streams (`dc_benches::schema`), the
+//! store's records on recovery ([`crate::log`]), and every daemon
+//! request line and client reply (`dc_server`). All of these may be
+//! truncated mid-write, bit-flipped, or adversarial, so the contract
+//! is strict: **every** malformed input comes back as `Err`, never a
+//! panic and never a stack overflow. The fuzz suites in
+//! `tests/schema_fuzz.rs` and `tests/store_properties.rs` pin that
+//! contract.
+//!
+//! Parsing is linear in the input: a string's plain runs are copied as
+//! whole slices, and large objects find duplicate keys through a hash
+//! set, so no input makes the parser rescan what it already read.
 //!
 //! The parser is hand-rolled rather than a dependency because the
 //! workspace is offline-vendored and the subset of JSON the stack emits
 //! is small and stable.
+
+use std::collections::HashSet;
 
 /// A parsed JSON value (the subset the stack emits).
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +52,13 @@ impl Json {
 /// records nest three levels deep.
 pub const MAX_DEPTH: usize = 128;
 
+/// Objects with more keys than this index them in a hash set for the
+/// duplicate-key check; smaller ones (every record and reply the stack
+/// writes) scan their pairs, which costs no allocation.
+const KEY_SCAN_MAX: usize = 16;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -110,6 +122,7 @@ impl<'a> Parser<'a> {
         self.enter()?;
         self.expect(b'{')?;
         let mut pairs: Vec<(String, Json)> = Vec::new();
+        let mut index: Option<HashSet<String>> = None;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -119,7 +132,14 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            if pairs.iter().any(|(k, _)| *k == key) {
+            let duplicate = if pairs.len() < KEY_SCAN_MAX {
+                pairs.iter().any(|(k, _)| *k == key)
+            } else {
+                !index
+                    .get_or_insert_with(|| pairs.iter().map(|(k, _)| k.clone()).collect())
+                    .insert(key.clone())
+            };
+            if duplicate {
                 return Err(format!("duplicate key \"{key}\" at byte {}", self.pos));
             }
             self.skip_ws();
@@ -202,12 +222,17 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar, not one byte.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash as one slice. Both are ASCII, so the run
+                    // ends on a char boundary of the input, which is
+                    // already valid UTF-8.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -235,6 +260,7 @@ impl<'a> Parser<'a> {
 /// malformation must surface as `Err`, never a panic.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -271,6 +297,8 @@ pub fn write_json_string(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn parses_the_value_shapes_the_stack_emits() {
@@ -312,5 +340,140 @@ mod tests {
         doc.push('}');
         let parsed = parse_json(&doc).expect("escaped string parses");
         assert_eq!(parsed.get("k"), Some(&Json::Str(nasty.to_string())));
+    }
+
+    #[test]
+    fn duplicate_keys_report_the_decoded_key_and_the_byte_after_it() {
+        assert_eq!(
+            parse_json(r#"{"k":1,"k":2}"#).unwrap_err(),
+            "duplicate key \"k\" at byte 10"
+        );
+        // The key is compared, and reported, unescaped.
+        assert_eq!(
+            parse_json(r#"{"a\u00e9":1,"aé":2}"#).unwrap_err(),
+            "duplicate key \"aé\" at byte 18"
+        );
+        // Past `KEY_SCAN_MAX` keys the check goes through the index;
+        // the first repeat is still the one reported.
+        let mut doc = String::from("{");
+        for i in 0..3 * KEY_SCAN_MAX {
+            doc.push_str(&format!("\"k{i}\":{i},"));
+        }
+        doc.push_str("\"k7\"");
+        let at = doc.len();
+        doc.push_str(":0,\"k8\":0}");
+        assert_eq!(
+            parse_json(&doc).unwrap_err(),
+            format!("duplicate key \"k7\" at byte {at}")
+        );
+    }
+
+    /// Both documents take minutes when each character, or each key,
+    /// rescans what came before it; a linear parse takes milliseconds
+    /// even unoptimised.
+    #[test]
+    fn megabyte_documents_parse_in_linear_time() {
+        const MIB: usize = 1 << 20;
+        const BOUND: Duration = Duration::from_secs(2);
+        let body = "plain é 中 ".repeat(MIB / 16);
+        let one_string = format!("\"{body}\"");
+        let start = Instant::now();
+        let parsed = parse_json(&one_string);
+        let took = start.elapsed();
+        assert_eq!(parsed, Ok(Json::Str(body)));
+        assert!(took < BOUND, "1 MiB string took {took:?}");
+
+        let mut keys = String::from("{");
+        let mut n = 0;
+        while keys.len() < MIB {
+            keys.push_str(&format!("\"key-{n}\":{n},"));
+            n += 1;
+        }
+        keys.push_str("\"last\":null}");
+        let start = Instant::now();
+        let parsed = parse_json(&keys);
+        let took = start.elapsed();
+        match parsed {
+            Ok(Json::Obj(pairs)) => assert_eq!(pairs.len(), n + 1),
+            other => panic!("expected an object, got {other:?}"),
+        }
+        assert!(took < BOUND, "1 MiB object of {n} keys took {took:?}");
+    }
+
+    /// Pieces for the round-trip property: plain runs, multi-byte
+    /// UTF-8 at every encoded width, every character the writer
+    /// escapes, and control characters.
+    const PIECES: &[&str] = &[
+        "a",
+        "plain run",
+        "é",
+        "中文",
+        "😀",
+        "\u{7f}",
+        "\u{80}",
+        "\u{7ff}",
+        "\u{800}",
+        "\u{ffff}",
+        "\u{10000}",
+        "\u{10ffff}",
+        "\"",
+        "\\",
+        "/",
+        "\n",
+        "\r",
+        "\t",
+        "\u{0}",
+        "\u{8}",
+        "\u{c}",
+        "\u{1f}",
+        "\u{1b}[0m",
+    ];
+
+    /// Encode `c` with the escape the writer never emits but the
+    /// parser accepts (`\/`, `\b`, `\f`, or `\uXXXX` for any BMP
+    /// character), so the property covers every escape.
+    fn push_alternate_escape(out: &mut String, c: char) {
+        match c {
+            '/' => out.push_str("\\/"),
+            '\u{8}' => out.push_str("\\b"),
+            '\u{c}' => out.push_str("\\f"),
+            c if (c as u32) < 0x10000 => out.push_str(&format!("\\u{:04X}", c as u32)),
+            c => out.push(c),
+        }
+    }
+
+    proptest! {
+        /// Any mix of pieces survives `write_json_string` →
+        /// `parse_json`, as a value and as a key, and so does the same
+        /// text spelled with the writer's alternate escapes.
+        #[test]
+        fn strings_round_trip_through_the_writer_and_the_parser(
+            picks in collection::vec(0usize..PIECES.len(), 0..40),
+            alternate in collection::vec(0u32..2, 0..40),
+        ) {
+            let text: String = picks.iter().map(|&i| PIECES[i]).collect();
+            let mut doc = String::from("{");
+            write_json_string(&mut doc, &text);
+            doc.push(':');
+            write_json_string(&mut doc, &text);
+            doc.push('}');
+            prop_assert_eq!(
+                parse_json(&doc),
+                Ok(Json::Obj(vec![(text.clone(), Json::Str(text.clone()))]))
+            );
+
+            let mut spelled = String::from("\"");
+            for (i, c) in text.chars().enumerate() {
+                if alternate.get(i) == Some(&1) {
+                    push_alternate_escape(&mut spelled, c);
+                } else {
+                    let mut literal = String::new();
+                    write_json_string(&mut literal, &c.to_string());
+                    spelled.push_str(&literal[1..literal.len() - 1]);
+                }
+            }
+            spelled.push('"');
+            prop_assert_eq!(parse_json(&spelled), Ok(Json::Str(text)));
+        }
     }
 }

@@ -259,3 +259,50 @@ fn a_hostile_session_mixing_every_abuse_still_serves_real_work() {
         "submit after abuse: {accepted}"
     );
 }
+
+/// Pad `line` (an open JSON object) with one string field to exactly
+/// `MAX_LINE_BYTES - 1` bytes, close it and add the newline.
+fn near_cap_line(mut line: String) -> Vec<u8> {
+    let pad = MAX_LINE_BYTES - 1 - line.len() - ",\"pad\":\"\"}".len();
+    line.push_str(&format!(",\"pad\":\"{}\"}}", "p".repeat(pad)));
+    assert_eq!(line.len(), MAX_LINE_BYTES - 1);
+    line.push('\n');
+    line.into_bytes()
+}
+
+/// Lines just under the cap cost a linear parse: ten whose `id` is one
+/// long string, then ten objects of a few thousand distinct keys, all
+/// answered within a second (a parse that rescans the line per
+/// character, or compares each key with every earlier one, takes
+/// seconds).
+#[test]
+fn near_cap_lines_are_parsed_in_linear_time() {
+    let mut conn = connect();
+    let long_id = |i: usize| format!("{{\"id\":\"{i}{}\"", "i".repeat(MAX_LINE_BYTES - 64));
+    let many_keys = |i: usize| {
+        let mut line = format!("{{\"id\":\"keys-{i}\",\"verb\":\"status\",\"job\":\"job-none\"");
+        let mut k = 0;
+        while line.len() < MAX_LINE_BYTES - 64 {
+            line.push_str(&format!(",\"k{k}\":{k}"));
+            k += 1;
+        }
+        line
+    };
+    let lines: Vec<(Vec<u8>, &str)> = (0..10)
+        .map(|i| (near_cap_line(long_id(i)), "\"bad_request\""))
+        .chain((0..10).map(|i| (near_cap_line(many_keys(i)), "\"unknown_job\"")))
+        .collect();
+    let start = std::time::Instant::now();
+    for (line, code) in &lines {
+        conn.send_raw(line).expect("send");
+        let response = recv(&mut conn);
+        assert_response_envelope(&response);
+        assert!(response.contains(code), "near-cap line: {response}");
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "20 near-cap lines took {took:?}"
+    );
+    assert_alive(&mut conn, "alive-near-cap");
+}
