@@ -5,8 +5,10 @@
 # single test-only method does not end the count, and a file with none
 # counts whole), then print one row per crate and the total. A last
 # `tests` row counts every line of the integration tests (tests/*.rs and
-# crates/*/tests/*.rs) and stays out of the total, so code that moves
-# between src/ and a test file shows in the ledger.
+# crates/*/tests/*.rs) and an `examples` row every line of the example
+# programs (examples/*.rs and crates/*/examples/*.rs); both stay out of
+# the total, so code that moves between src/ and a test or an example
+# shows in the ledger.
 #
 #   ci/loc.sh            # run from the repository root
 set -eu
@@ -26,3 +28,5 @@ done
 printf '%-14s %6d\n' total "$total"
 n=$(cat tests/*.rs crates/*/tests/*.rs | wc -l)
 printf '%-14s %6d\n' tests "$n"
+n=$(cat examples/*.rs crates/*/examples/*.rs | wc -l)
+printf '%-14s %6d\n' examples "$n"

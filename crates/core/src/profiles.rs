@@ -13,9 +13,9 @@
 //!   those stacks (multi-MB instruction footprints of JVM/C++ servers,
 //!   heap-object data locality, >40 % kernel time under network load) —
 //!   the paper's own Figures 3-12 and the CloudSuite paper it builds on;
-//! * HPCC kernels follow directly from their algorithms (our real
-//!   implementations in `dc-suites::hpcc` have exactly these access
-//!   patterns).
+//! * HPCC profiles follow the kernels' published access patterns
+//!   (STREAM's unit-stride sweeps, the blocked tiles of DGEMM, HPL and
+//!   FFT, RandomAccess's random updates over a large table).
 //!
 //! `rat_hazard_rate` is the one direct-injection knob (DESIGN.md §7 item 3).
 

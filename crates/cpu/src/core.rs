@@ -647,15 +647,57 @@ impl Pipeline {
     /// Close the measured span at `cycle` and fold its deltas into the
     /// clean accumulators.
     fn close_span(&mut self, cycle: u64) {
-        self.clean_cycles += cycle - self.span_start_cycle;
-        self.clean_instr += self.counts.instructions - self.span_start_instr;
+        (self.clean_cycles, self.clean_instr, self.clean_stalls) = self.clean_with_span(cycle);
+    }
+
+    /// The clean accumulators `(cycles, instructions, stalls)` plus the
+    /// open measured span's deltas up to `cycle`.
+    fn clean_with_span(&self, cycle: u64) -> (u64, u64, [u64; 6]) {
+        let mut stalls = self.clean_stalls;
         let now = self.counts.stalls();
-        for (acc, (n, s)) in self
-            .clean_stalls
+        for (acc, (n, s)) in stalls
             .iter_mut()
             .zip(now.iter().zip(&self.span_start_stalls))
         {
             *acc += n - s;
+        }
+        (
+            self.clean_cycles + (cycle - self.span_start_cycle),
+            self.clean_instr + (self.counts.instructions - self.span_start_instr),
+            stalls,
+        )
+    }
+
+    /// Warm-up boundary: reset this core's statistics, keep state.
+    /// Shared-level contents (and the other cores' statistics) are
+    /// deliberately untouched; this core's L3 traffic is tracked by its
+    /// private attribution counters, which do reset here. Runs once per
+    /// window, from whichever of [`Pipeline::step`] and the
+    /// fast-forward burst crosses the boundary.
+    #[cold]
+    fn end_warmup(
+        &mut self,
+        cycle: u64,
+        hier: &mut PrivateHierarchy,
+        mmu: &mut Mmu,
+        bp: &mut BranchPredictor,
+    ) {
+        self.in_warmup = false;
+        self.counts = PerfCounts::default();
+        hier.reset_stats();
+        mmu.reset_stats();
+        bp.reset_stats();
+        self.cycle_base = cycle;
+        self.ffwd_in_counts = 0;
+        self.clean_cycles = 0;
+        self.clean_instr = 0;
+        self.clean_stalls = [0; 6];
+        self.phase_instr = [0; 3];
+        if matches!(self.phase, SamplePhase::Detail { .. }) {
+            // Mid-span boundary: the span restarts on the fresh
+            // (all-zero) counter baselines. A fast-forward burst is in
+            // `WindDown`, so it never takes this branch.
+            self.open_span(cycle);
         }
     }
 
@@ -741,27 +783,8 @@ impl Pipeline {
             }
         }
 
-        // Warm-up boundary: reset this core's statistics, keep state.
-        // Shared-level contents (and the other cores' statistics) are
-        // deliberately untouched; this core's L3 traffic is tracked by
-        // its private attribution counters, which do reset here.
         if self.in_warmup && self.processed() >= self.warmup_ops {
-            self.in_warmup = false;
-            self.counts = PerfCounts::default();
-            hier.reset_stats();
-            mmu.reset_stats();
-            bp.reset_stats();
-            self.cycle_base = cycle;
-            self.ffwd_in_counts = 0;
-            self.clean_cycles = 0;
-            self.clean_instr = 0;
-            self.clean_stalls = [0; 6];
-            self.phase_instr = [0; 3];
-            if matches!(self.phase, SamplePhase::Detail { .. }) {
-                // Mid-span boundary: the span restarts on the fresh
-                // (all-zero) counter baselines.
-                self.open_span(cycle);
-            }
+            self.end_warmup(cycle, hier, mmu, bp);
         }
         if self.processed() >= self.target {
             self.final_cycle = cycle;
@@ -1037,17 +1060,7 @@ impl Pipeline {
             }
             // The warm-up boundary may fall inside a burst.
             if self.in_warmup && self.processed() >= self.warmup_ops {
-                self.in_warmup = false;
-                self.counts = PerfCounts::default();
-                hier.reset_stats();
-                mmu.reset_stats();
-                bp.reset_stats();
-                self.cycle_base = cycle;
-                self.ffwd_in_counts = 0;
-                self.clean_cycles = 0;
-                self.clean_instr = 0;
-                self.clean_stalls = [0; 6];
-                self.phase_instr = [0; 3];
+                self.end_warmup(cycle, hier, mmu, bp);
             }
             if self.processed() >= self.target {
                 break;
@@ -1169,14 +1182,6 @@ impl Pipeline {
         self.cycle_base
     }
 
-    /// Copy structure statistics into the counter block and return it.
-    /// In sampled mode, extrapolate cycle-denominated counters to the
-    /// whole window from the *measured spans only* (integer math, u128
-    /// intermediate): `scaled = span_value × total_instr / span_instr`.
-    /// Ramp and wind-down cycles are detailed but unrepresentative —
-    /// pipeline refill and drain tail — so they enter neither the
-    /// numerator nor the denominator (SMARTS detailed warming). Event
-    /// counts stay as measured: every op touched the real structures.
     /// Post-warm-up instructions retired per sampling phase:
     /// `(ramp, detail, ffwd)`. All zero in exact mode.
     #[cfg(test)]
@@ -1203,6 +1208,14 @@ impl Pipeline {
         }
     }
 
+    /// Copy structure statistics into the counter block and return it.
+    /// In sampled mode, extrapolate cycle-denominated counters to the
+    /// whole window from the *measured spans only* (integer math, u128
+    /// intermediate): `scaled = span_value × total_instr / span_instr`.
+    /// Ramp and wind-down cycles are detailed but unrepresentative —
+    /// pipeline refill and drain tail — so they enter neither the
+    /// numerator nor the denominator (SMARTS detailed warming). Event
+    /// counts stay as measured: every op touched the real structures.
     pub(crate) fn finalize(
         &self,
         hier: &PrivateHierarchy,
@@ -1212,21 +1225,13 @@ impl Pipeline {
         self.publish_phase_metrics();
         let mut counts = self.snapshot(self.final_cycle, hier, mmu, bp);
         if self.plan.is_some() && self.ffwd_in_counts > 0 {
-            let mut span_cycles = self.clean_cycles;
-            let mut span_instr = self.clean_instr;
-            let mut span_stalls = self.clean_stalls;
-            if matches!(self.phase, SamplePhase::Detail { .. }) {
-                // The window ended inside an open measured span.
-                span_cycles += self.final_cycle - self.span_start_cycle;
-                span_instr += self.counts.instructions - self.span_start_instr;
-                let now = self.counts.stalls();
-                for (acc, (n, s)) in span_stalls
-                    .iter_mut()
-                    .zip(now.iter().zip(&self.span_start_stalls))
-                {
-                    *acc += n - s;
-                }
-            }
+            let (span_cycles, span_instr, span_stalls) =
+                if matches!(self.phase, SamplePhase::Detail { .. }) {
+                    // The window ended inside an open measured span.
+                    self.clean_with_span(self.final_cycle)
+                } else {
+                    (self.clean_cycles, self.clean_instr, self.clean_stalls)
+                };
             let total = counts.instructions as u128;
             if span_instr > 0 {
                 let scale = |v: u64| ((v as u128 * total) / span_instr as u128) as u64;

@@ -229,15 +229,6 @@ impl PerfCounts {
         }
     }
 
-    /// Cycles per instruction.
-    pub fn cpi(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / self.instructions as f64
-        }
-    }
-
     fn pki(&self, count: u64) -> f64 {
         if self.instructions == 0 {
             0.0
@@ -352,18 +343,6 @@ impl PerfCounts {
         let [fetch, rat, rs, rob, load, store] = self.stalls();
         [fetch, rat, load, rs, store, rob].map(|v| v as f64 / total as f64)
     }
-
-    /// Share of stalls occurring in the out-of-order part of the pipeline
-    /// (RS + ROB + load + store buffers) — the paper's headline contrast
-    /// between data-analysis (≈57 %) and service (≈27 %) workloads.
-    pub fn ooo_stall_share(&self) -> f64 {
-        let total = self.total_stall_cycles();
-        if total == 0 {
-            return 0.0;
-        }
-        let [_, _, rs, rob, load, store] = self.stalls();
-        (rs + rob + load + store) as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -397,7 +376,6 @@ mod tests {
     fn derived_ratios() {
         let c = sample();
         assert!((c.ipc() - 0.5).abs() < 1e-12);
-        assert!((c.cpi() - 2.0).abs() < 1e-12);
         assert!((c.l1i_mpki() - 23.0).abs() < 1e-12);
         assert!((c.l2_mpki() - 11.0).abs() < 1e-12);
         assert!((c.l3_hit_ratio_of_l2_misses() - 9.0 / 11.0).abs() < 1e-12);
@@ -413,7 +391,6 @@ mod tests {
         let b = c.stall_breakdown();
         let sum: f64 = b.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
-        assert!((c.ooo_stall_share() - 350.0 / 500.0).abs() < 1e-12);
     }
 
     /// Every field nonzero and distinct, written as a full struct
@@ -506,11 +483,9 @@ mod tests {
     fn zero_counts_are_safe() {
         let c = PerfCounts::default();
         assert_eq!(c.ipc(), 0.0);
-        assert_eq!(c.cpi(), 0.0);
         assert_eq!(c.l1i_mpki(), 0.0);
         assert_eq!(c.l3_hit_ratio_of_l2_misses(), 0.0);
         assert_eq!(c.branch_misprediction_ratio(), 0.0);
         assert_eq!(c.stall_breakdown(), [0.0; 6]);
-        assert_eq!(c.ooo_stall_share(), 0.0);
     }
 }

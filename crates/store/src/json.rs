@@ -206,36 +206,65 @@ impl<'a> Parser<'a> {
                         b'n' => out.push('\n'),
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| format!("invalid \\u{hex}"))?,
-                            );
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         other => return Err(format!("bad escape '\\{}'", char::from(other))),
                     }
                 }
+                Some(c) if c < 0x20 => {
+                    return Err(format!(
+                        "raw control character in string at byte {}",
+                        self.pos
+                    ))
+                }
                 Some(_) => {
-                    // Copy the whole run up to the next quote or
-                    // backslash as one slice. Both are ASCII, so the run
-                    // ends on a char boundary of the input, which is
-                    // already valid UTF-8.
+                    // Copy the whole run up to the next quote, backslash
+                    // or control character as one slice. All are ASCII,
+                    // so the run ends on a char boundary of the input,
+                    // which is already valid UTF-8.
                     let rest = &self.bytes[self.pos..];
                     let run = rest
                         .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                         .unwrap_or(rest.len());
                     out.push_str(&self.text[self.pos..self.pos + run]);
                     self.pos += run;
                 }
             }
         }
+    }
+
+    /// The character of a `\u` escape whose `\u` is already consumed.
+    /// A high surrogate must be followed by an escaped low one, and the
+    /// pair decodes to one character outside the BMP; a lone surrogate
+    /// is an error.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let unit = self.hex4()?;
+        let low = if (0xD800..0xDC00).contains(&unit) && self.eat("\\u") {
+            Some(self.hex4()?)
+        } else {
+            None
+        };
+        char::decode_utf16(std::iter::once(unit).chain(low))
+            .next()
+            .and_then(Result::ok)
+            .ok_or_else(|| format!("unpaired surrogate \\u{unit:04x} at byte {at}"))
+    }
+
+    /// Four hex digits, exactly: no sign, no fewer.
+    fn hex4(&mut self) -> Result<u16, String> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
+        let code = hex
+            .iter()
+            .try_fold(0, |acc, &b| {
+                Some(acc << 4 | char::from(b).to_digit(16)? as u16)
+            })
+            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -246,18 +275,29 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number at byte {start}"))
+        let token = &self.text[start..self.pos];
+        // `f64::from_str` also takes `01`, `1.` and `1.e5`, which JSON
+        // forbids: the integer part is `0` or has no leading zero, and a
+        // `.` is followed by a digit.
+        let unsigned = token.strip_prefix('-').unwrap_or(token).as_bytes();
+        let int = unsigned.iter().take_while(|b| b.is_ascii_digit()).count();
+        let json = int > 0
+            && (int == 1 || unsigned[0] != b'0')
+            && (unsigned.get(int) != Some(&b'.')
+                || unsigned.get(int + 1).is_some_and(u8::is_ascii_digit));
+        match token.parse::<f64>() {
+            Ok(x) if json => Ok(Json::Num(x)),
+            _ => Err(format!("bad number at byte {start}")),
+        }
     }
 }
 
-/// Parse one JSON document. Trailing non-whitespace, duplicate object
-/// keys, and nesting beyond [`MAX_DEPTH`] levels are errors — the
-/// parser reads artifacts that may be truncated or corrupt, so every
-/// malformation must surface as `Err`, never a panic.
+/// Parse one JSON document. Anything RFC 8259 forbids (a raw control
+/// character or lone surrogate in a string, a number such as `01` or
+/// `1.`), trailing non-whitespace, duplicate object keys, and nesting
+/// beyond [`MAX_DEPTH`] levels are errors — the parser reads artifacts
+/// that may be truncated or corrupt, so every malformation must surface
+/// as `Err`, never a panic.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         text,
@@ -368,6 +408,97 @@ mod tests {
         );
     }
 
+    #[test]
+    fn escaped_surrogate_pairs_decode_and_lone_surrogates_are_errors() {
+        assert_eq!(
+            parse_json(r#""\ud83d\ude00""#),
+            Ok(Json::Str("\u{1f600}".into()))
+        );
+        assert_eq!(
+            parse_json(r#""a\ud800\udc00b\udbff\udfff""#),
+            Ok(Json::Str("a\u{10000}b\u{10ffff}".into()))
+        );
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+        ] {
+            let err = parse_json(lone).unwrap_err();
+            assert!(err.contains("unpaired surrogate"), "{lone}: {err}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            parse_json(r#""\u0041\u00e9\u00E9""#),
+            Ok(Json::Str("A\u{e9}\u{e9}".into()))
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u041""#,
+        ] {
+            let err = parse_json(bad).unwrap_err();
+            assert!(err.contains("bad \\u escape"), "{bad}: {err}");
+        }
+        assert!(parse_json(r#""\u04""#).is_err());
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_errors() {
+        for c in (0u8..0x20).map(char::from) {
+            for doc in [format!("\"a{c}b\""), format!("{{\"k{c}\":1}}")] {
+                let err = parse_json(&doc).unwrap_err();
+                assert!(err.contains("raw control character"), "{doc:?}: {err}");
+            }
+        }
+        // DEL and everything above it are plain characters.
+        assert_eq!(
+            parse_json("\"a\u{7f}\u{80}b\""),
+            Ok(Json::Str("a\u{7f}\u{80}b".into()))
+        );
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for (text, x) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("-7", -7.0),
+            ("1.5", 1.5),
+            ("-0.25", -0.25),
+            ("1e5", 1e5),
+            ("1E+5", 1e5),
+            ("2.5e-3", 2.5e-3),
+            ("0e0", 0.0),
+        ] {
+            assert_eq!(parse_json(text), Ok(Json::Num(x)), "{text}");
+        }
+        for bad in [
+            "01", "-01", "00", "1.", "1.e5", "-0.", "-", "-.5", "1e", "1e+", "1E-", "--1", "1.5.2",
+            "1e5e5",
+        ] {
+            assert_eq!(
+                parse_json(bad),
+                Err("bad number at byte 0".to_string()),
+                "{bad}"
+            );
+        }
+        // A number must start with a digit or a minus sign.
+        assert!(parse_json(".5").is_err());
+        assert!(parse_json("+1").is_err());
+        assert_eq!(
+            parse_json("[1,01]"),
+            Err("bad number at byte 3".to_string())
+        );
+    }
+
     /// Both documents take minutes when each character, or each key,
     /// rescans what came before it; a linear parse takes milliseconds
     /// even unoptimised.
@@ -430,15 +561,19 @@ mod tests {
     ];
 
     /// Encode `c` with the escape the writer never emits but the
-    /// parser accepts (`\/`, `\b`, `\f`, or `\uXXXX` for any BMP
-    /// character), so the property covers every escape.
+    /// parser accepts (`\/`, `\b`, `\f`, `\uXXXX` for any BMP
+    /// character, or an escaped surrogate pair for any other), so the
+    /// property covers every escape.
     fn push_alternate_escape(out: &mut String, c: char) {
         match c {
             '/' => out.push_str("\\/"),
             '\u{8}' => out.push_str("\\b"),
             '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x10000 => out.push_str(&format!("\\u{:04X}", c as u32)),
-            c => out.push(c),
+            c => {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    out.push_str(&format!("\\u{unit:04X}"));
+                }
+            }
         }
     }
 

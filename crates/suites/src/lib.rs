@@ -1,27 +1,9 @@
-//! # dc-suites — the comparison workload suites
+//! # dc-suites — intentionally empty
 //!
-//! The paper contrasts its eleven data-analysis workloads against
-//! desktop (SPEC CPU2006), HPC (HPCC 1.4), traditional server
-//! (SPECweb2005) and scale-out service (CloudSuite) benchmarks. This
-//! crate provides runnable equivalents of the parts that are pure
-//! algorithms or reproducible server logic:
-//!
-//! * [`hpcc`] — real implementations of the seven HPCC kernels the paper
-//!   runs: HPL (LU solve), DGEMM, STREAM, PTRANS, RandomAccess (GUPS),
-//!   FFT, and a COMM latency/bandwidth model;
-//! * [`services`] — miniature but functional service engines matching the
-//!   paper's CloudSuite/SPECweb setups: a Cassandra-style KV store under
-//!   a YCSB 50/50 driver, a Darwin-style media-streaming session server,
-//!   a Nutch-style inverted-index web search, an Olio-style web-serving
-//!   front end, a Cloud9-style symbolic-execution engine, and a
-//!   SPECweb2005-style banking backend.
-//!
-//! SPEC CPU2006 itself is proprietary; it is represented only by
-//! calibrated workload profiles in `dcbench::profiles` (see DESIGN.md's
-//! substitution table).
+//! The paper's comparison suites (SPEC CPU2006, HPCC, SPECweb2005,
+//! CloudSuite) are rows of counter readings, and each is a calibrated
+//! workload profile in `dcbench::profiles`. The package stays only because
+//! removing it, or `dcbench`'s dependency on it, rewrites
+//! `perfbench/Cargo.lock`; it goes with a change allowed to rewrite that.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod hpcc;
-pub mod services;

@@ -306,3 +306,17 @@ fn near_cap_lines_are_parsed_in_linear_time() {
     );
     assert_alive(&mut conn, "alive-near-cap");
 }
+
+/// A job name that escapes a character outside the BMP as a surrogate
+/// pair, as Python's `json.dumps` does by default, is a well-formed
+/// request: the daemon looks the job up and answers `unknown_job`, not
+/// `parse_error`.
+#[test]
+fn surrogate_pair_escapes_in_a_job_name_parse() {
+    let mut conn = connect();
+    conn.send_line(r#"{"id":"sp","verb":"status","job":"job-\ud83d\ude00"}"#)
+        .expect("send");
+    let response = recv(&mut conn);
+    assert_response_envelope(&response);
+    assert!(response.contains("\"unknown_job\""), "{response}");
+}
