@@ -16,6 +16,13 @@
 //! 2. [`std::thread::available_parallelism`];
 //! 3. `1` if the runtime cannot report a width.
 //!
+//! `DCBENCH_JOBS` is read on every call, so a process (or a test) that
+//! changes it sees the new width on its next fan-out; an env read costs
+//! about 0.1 µs. The machine width is read once per process: std
+//! re-reads the process's cgroup quota files on every
+//! `available_parallelism` call, 16–27 µs on a 2-vCPU VM, which is
+//! more than a warm daemon job's whole memo-lookup work.
+//!
 //! Because each job is a pure function of its own seed, results are
 //! collected in input order and are **bit-identical** at any width —
 //! enforced by `tests/parallel_determinism.rs`.
@@ -24,12 +31,14 @@ use dc_obs::metrics;
 use std::cell::Cell;
 use std::env;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Environment variable overriding the worker count.
 pub const JOBS_ENV: &str = "DCBENCH_JOBS";
 
 /// The worker width the characterizer will use: `DCBENCH_JOBS` if set
-/// to a positive integer, else the machine's available parallelism.
+/// to a positive integer, else the machine's available parallelism
+/// (resolved once per process).
 pub fn jobs() -> usize {
     env::var(JOBS_ENV)
         .ok()
@@ -45,9 +54,12 @@ fn parse_jobs(v: &str) -> Option<usize> {
 }
 
 fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static MACHINE: OnceLock<usize> = OnceLock::new();
+    *MACHINE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Fan `items` out across [`jobs`] workers, returning results in input
@@ -66,14 +78,21 @@ fn default_jobs() -> usize {
 /// All gauges return to zero when the call completes, so quiescent
 /// snapshots stay deterministic. The per-job cost is a handful of
 /// relaxed atomics — noise next to a multi-ms simulation job.
+///
+/// An empty `items` returns an empty vector at once, without reading
+/// the width or touching the registry: a daemon job whose entries were
+/// all memo hits costs nothing here.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
+    if items.is_empty() {
+        return Vec::new();
+    }
     let width = jobs();
-    let slots = width.min(items.len()).max(1);
+    let slots = width.min(items.len());
     let reg = metrics::global();
     let depth = reg.gauge("dc_pool_queue_depth", &[]);
     let busy = reg.gauge("dc_pool_workers_busy", &[]);

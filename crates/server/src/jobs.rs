@@ -40,9 +40,10 @@ const ENTRY_EVENT_CAP: usize = 16;
 
 /// Characterize `entries` at co-run width `corun` under `base`: one
 /// metric row per entry and the telemetry their lookups emitted, both
-/// in entry order (see the module doc). The misses, possibly none, go
-/// through [`pool::parallel_map`]; the hits never leave the calling
-/// thread.
+/// in entry order (see the module doc). The misses go through
+/// [`pool::parallel_map`]; the hits never leave the calling thread, and
+/// a job with no misses never enters the pool (an empty fan-out returns
+/// before it reads the width or the registry).
 pub(crate) fn characterize(
     base: &Characterizer,
     entries: &[BenchmarkId],

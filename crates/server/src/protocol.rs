@@ -24,10 +24,13 @@
 //! ```
 //!
 //! `id` is a client-chosen string or non-negative integer, echoed on
-//! every response; reusing an id on one connection is a
-//! [`code::DUPLICATE_ID`] error. `entries` is either an array of figure
-//! labels or a group name (`"all"`, `"data_analysis"`, `"services"`,
-//! `"hpcc"`). An optional `"sampled":true` runs the job under
+//! every response. Ids are consumed only by successful requests, and a
+//! connection remembers the last
+//! [`MAX_REMEMBERED_IDS`](crate::server::MAX_REMEMBERED_IDS) of them:
+//! reusing one of those is a [`code::DUPLICATE_ID`] error, while an id
+//! older than that window may be used again. `entries` is either an
+//! array of figure labels or a group name (`"all"`, `"data_analysis"`,
+//! `"services"`, `"hpcc"`). An optional `"sampled":true` runs the job under
 //! SMARTS-style systematic sampling (default validated plan) instead of
 //! exact simulation.
 //!
@@ -83,7 +86,8 @@ pub mod code {
     pub const UNKNOWN_VERB: &str = "unknown_verb";
     /// The named job does not exist on this daemon.
     pub const UNKNOWN_JOB: &str = "unknown_job";
-    /// The request id was already used on this connection.
+    /// The request id was used by one of this connection's recent
+    /// successful requests.
     pub const DUPLICATE_ID: &str = "duplicate_id";
     /// The bounded job queue is full; retry after jobs drain.
     pub const QUEUE_FULL: &str = "queue_full";

@@ -27,6 +27,10 @@
 //! [`MAX_FINISHED_JOBS`]; past that, each job that finishes evicts the
 //! oldest finished one, whose name then answers `unknown_job` by the
 //! time the finishing job reads finished.
+//!
+//! A connection remembers the ids of its last [`MAX_REMEMBERED_IDS`]
+//! successful requests, so its memory does not grow with the requests
+//! it serves; reusing an id inside that window is `duplicate_id`.
 
 use crate::jobs::Job;
 use crate::protocol::{
@@ -145,6 +149,37 @@ impl ServerMetrics {
 /// evicted; queued and running jobs are never evicted.
 pub const MAX_FINISHED_JOBS: usize = 1024;
 
+/// Successful request ids a connection remembers for `duplicate_id`.
+/// Reusing one of the last this-many ids is rejected; an id older than
+/// the window is forgotten and may be used again.
+pub const MAX_REMEMBERED_IDS: usize = 1024;
+
+/// The ids of a connection's last [`MAX_REMEMBERED_IDS`] successful
+/// requests, oldest first.
+#[derive(Default)]
+struct RecentIds {
+    order: VecDeque<RequestId>,
+    set: HashSet<RequestId>,
+}
+
+impl RecentIds {
+    fn contains(&self, id: &RequestId) -> bool {
+        self.set.contains(id)
+    }
+
+    /// Remember `id` (not already remembered), forgetting the oldest
+    /// past the window.
+    fn insert(&mut self, id: RequestId) {
+        if self.order.len() == MAX_REMEMBERED_IDS {
+            if let Some(oldest) = self.order.pop_front() {
+                self.set.remove(&oldest);
+            }
+        }
+        self.set.insert(id.clone());
+        self.order.push_back(id);
+    }
+}
+
 /// The jobs a name can reach.
 #[derive(Default)]
 struct JobTable {
@@ -233,7 +268,7 @@ impl Server {
     /// pair (a TCP stream split in two, or stdin/stdout). Returns when
     /// the client disconnects or after acknowledging `shutdown`.
     pub fn serve_connection<R: BufRead, W: Write>(&self, reader: &mut R, writer: &mut W) {
-        let mut used_ids: HashSet<RequestId> = HashSet::new();
+        let mut used_ids = RecentIds::default();
         let mut line = Vec::with_capacity(1024);
         loop {
             let shutdown_acked = match read_capped_line(reader, &mut line) {
@@ -339,7 +374,7 @@ impl Server {
     fn handle_line(
         &self,
         line: &str,
-        used_ids: &mut HashSet<RequestId>,
+        used_ids: &mut RecentIds,
         writer: &mut impl Write,
     ) -> io::Result<bool> {
         let req = match protocol::parse_request(line) {
@@ -703,6 +738,39 @@ mod tests {
         let lines = session(&server, &format!("{submit}\n{submit}\n"));
         assert!(lines[0].contains("\"ok\":true"));
         assert!(lines[1].contains("\"duplicate_id\""));
+        server.begin_shutdown();
+        server.wait();
+    }
+
+    #[test]
+    fn duplicate_ids_are_rejected_inside_the_window_and_forgotten_past_it() {
+        let server = Server::start(ServerConfig::default());
+        let submit =
+            "{\"id\":\"first\",\"verb\":\"submit\",\"job\":{\"entries\":[\"Sort\"],\"seed\":502}}";
+        let status = |id: &str| format!("{{\"id\":{id},\"verb\":\"status\",\"job\":\"job-1\"}}\n");
+        // `first` plus MAX_REMEMBERED_IDS - 1 more successes: `first` is
+        // the oldest id still inside the window.
+        let mut input = format!("{submit}\n");
+        for n in 1..MAX_REMEMBERED_IDS {
+            input.push_str(&status(&n.to_string()));
+        }
+        input.push_str(&status("\"first\""));
+        // One more success pushes `first` out; its reuse then succeeds.
+        input.push_str(&status(&MAX_REMEMBERED_IDS.to_string()));
+        input.push_str(&status("\"first\""));
+        let lines = session(&server, &input);
+        assert_eq!(lines.len(), MAX_REMEMBERED_IDS + 3, "every line answered");
+        assert!(lines[..MAX_REMEMBERED_IDS]
+            .iter()
+            .all(|l| l.contains("\"ok\":true")));
+        let inside = &lines[MAX_REMEMBERED_IDS];
+        assert!(inside.contains("\"duplicate_id\""), "inside: {inside}");
+        assert!(lines[MAX_REMEMBERED_IDS + 1].contains("\"ok\":true"));
+        let outside = &lines[MAX_REMEMBERED_IDS + 2];
+        assert!(
+            outside.starts_with("{\"id\":\"first\",\"ok\":true"),
+            "outside: {outside}"
+        );
         server.begin_shutdown();
         server.wait();
     }
