@@ -419,38 +419,6 @@ fn run_entries(quick: bool, only: Option<&str>) -> Vec<BenchEntry> {
         push("store_recover", recovered, (REPS * 28) as f64, 1);
     }
 
-    // A warm daemon job without the daemon: `Job::run` of the recorded
-    // three-entry spec on a warmed memo, the executor's whole share of
-    // a warm round (three memo lookups, the event replay and the
-    // output render). Run once untimed to warm the memo, then many
-    // times, since one warm job takes microseconds.
-    if want("warm_job") {
-        eprintln!("dc-bench: warm daemon jobs (Sort, Grep, K-means; quick window)");
-        let doc = parse_json(WARM_JOB_SPEC).expect("the recorded spec is JSON");
-        let spec = dc_server::JobSpec::parse(&doc).expect("the recorded spec is valid");
-        let run_job = || {
-            let job = dc_server::Job::new("job-1".to_string(), spec.clone());
-            job.emit_queued(&Recorder::disabled());
-            assert!(job.try_start(), "a fresh job starts");
-            job.run(&Recorder::disabled());
-            assert_eq!(job.state(), dc_server::JobState::Done);
-        };
-        run_job();
-        const REPS: usize = 2000;
-        let sims_before = cache::sim_invocations();
-        let warm = time_ms(|| {
-            for _ in 0..REPS {
-                run_job();
-            }
-        });
-        assert_eq!(
-            cache::sim_invocations(),
-            sims_before,
-            "a warm job must answer every entry from the memo"
-        );
-        push("warm_job", warm, REPS as f64, 1);
-    }
-
     // Daemon request throughput: an in-process `dc-server` on an
     // ephemeral TCP port, four concurrent clients each pushing warm
     // submit+stream rounds end to end (accept → parse → queue →
@@ -494,11 +462,6 @@ fn run_entries(quick: bool, only: Option<&str>) -> Vec<BenchEntry> {
 
     entries
 }
-
-/// The job spec of the repository's recorded warm traffic
-/// (`ci/server-smoke/warm.txt`).
-const WARM_JOB_SPEC: &str =
-    "{\"entries\":[\"Sort\",\"Grep\",\"K-means\"],\"window\":\"quick\",\"seed\":41}";
 
 /// The `store_recover` log: a generation header, one record per
 /// benchmark entry and two 4-core Sort/Grep co-runs, with
@@ -946,12 +909,6 @@ mod tests {
             },
             BenchEntry {
                 name: "engine_new_path",
-                wall_ms: 1.0,
-                uops_per_s: 0.0,
-                threads: 1,
-            },
-            BenchEntry {
-                name: "warm_job",
                 wall_ms: 1.0,
                 uops_per_s: 0.0,
                 threads: 1,

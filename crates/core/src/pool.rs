@@ -79,24 +79,25 @@ fn default_jobs() -> usize {
 /// snapshots stay deterministic. The per-job cost is a handful of
 /// relaxed atomics — noise next to a multi-ms simulation job.
 ///
-/// An empty `items` returns an empty vector at once, without reading
-/// the width or touching the registry: a daemon job whose entries were
-/// all memo hits costs nothing here.
+/// The three unlabelled handles are resolved once per process, on the
+/// first call, empty or not, so `dc_pool_jobs_total` reads 0 in a
+/// process that has fanned out only empty lists (a warm-started daemon
+/// serving memo hits). An empty `items` then returns an empty vector
+/// without reading the width or looking up a per-worker handle: a
+/// daemon job whose entries were all memo hits costs nothing here.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
+    let m = pool_metrics();
     if items.is_empty() {
         return Vec::new();
     }
     let width = jobs();
     let slots = width.min(items.len());
     let reg = metrics::global();
-    let depth = reg.gauge("dc_pool_queue_depth", &[]);
-    let busy = reg.gauge("dc_pool_workers_busy", &[]);
-    let jobs_total = reg.counter("dc_pool_jobs_total", &[]);
     let slot_names: Vec<String> = (0..slots).map(|w| w.to_string()).collect();
     let worker_busy: Vec<metrics::Gauge> = slot_names
         .iter()
@@ -106,7 +107,7 @@ where
         .iter()
         .map(|w| reg.counter("dc_pool_worker_jobs_total", &[("worker", w)]))
         .collect();
-    depth.set(items.len() as i64);
+    m.depth.set(items.len() as i64);
 
     // Workers are fresh scoped threads each call, so a per-call counter
     // hands each one a compact slot id on its first job. The inline
@@ -126,20 +127,39 @@ where
             }
         });
         let slot = slot.min(slots - 1);
-        depth.dec();
-        busy.inc();
+        m.depth.dec();
+        m.busy.inc();
         worker_busy[slot].set(1);
         let r = f(i, item);
         worker_busy[slot].set(0);
         worker_jobs[slot].inc();
-        jobs_total.inc();
-        busy.dec();
+        m.jobs_total.inc();
+        m.busy.dec();
         r
     });
     // A closed queue leaves nothing pending by construction; pin the
     // gauge there rather than trusting dec() arithmetic under races.
-    depth.set(0);
+    m.depth.set(0);
     out
+}
+
+/// The pool's unlabelled metric handles (see [`parallel_map`]).
+struct PoolMetrics {
+    depth: metrics::Gauge,
+    busy: metrics::Gauge,
+    jobs_total: metrics::Counter,
+}
+
+fn pool_metrics() -> &'static PoolMetrics {
+    static METRICS: OnceLock<PoolMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = metrics::global();
+        PoolMetrics {
+            depth: reg.gauge("dc_pool_queue_depth", &[]),
+            busy: reg.gauge("dc_pool_workers_busy", &[]),
+            jobs_total: reg.counter("dc_pool_jobs_total", &[]),
+        }
+    })
 }
 
 #[cfg(test)]

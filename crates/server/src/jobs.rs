@@ -43,7 +43,7 @@ const ENTRY_EVENT_CAP: usize = 16;
 /// in entry order (see the module doc). The misses go through
 /// [`pool::parallel_map`]; the hits never leave the calling thread, and
 /// a job with no misses never enters the pool (an empty fan-out returns
-/// before it reads the width or the registry).
+/// before it reads the width or names a worker slot).
 pub(crate) fn characterize(
     base: &Characterizer,
     entries: &[BenchmarkId],
